@@ -501,7 +501,7 @@ def load_family_matrix(cfg: PipelineConfig, family: str):
         raise AlignmentError(
             f"family {family!r} lacks feature vectors for rated movies {missing[:10]}"
         )
-    R = load_ratings_csv(cfg.ratings, item_ids=universe)
+    R = R.with_items(universe)
     row_of = {m: i for i, m in enumerate(feat_ids)}
     aligned = values[[row_of[m] for m in universe]]
     F = FeatureMatrix(family=FAMILIES[family], item_ids=tuple(universe), values=aligned)

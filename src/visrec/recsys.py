@@ -6,6 +6,13 @@ matrix, weighted ``alpha``, and a full-batch reconstruction of the item
 feature matrix, weighted ``1 - alpha``. An L2 penalty ``gamma`` applies to
 every update and the diagonal of S is clamped to zero throughout, so an item
 never recommends itself.
+
+Training never forms S inside its loop. Both updates are linear in S, so S
+is kept factored: a scaled n x n part takes the ranking writes, and the
+feature steps live in G times a k x n matrix, where G is the n x k feature
+matrix with k = min(n, d). One triple and its feature step then cost
+O(n k^2 + |rated| k), against O(n^2 d) on a dense S, and the iterates are
+the same up to rounding. S is materialised once per epoch.
 """
 
 from __future__ import annotations
@@ -103,23 +110,33 @@ class InteractionMatrix:
         return self._item_index[item_id]
 
     def user_ratings(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """(item indices, rating values) of one user row."""
-        row = self.matrix.getrow(u)
-        return row.indices.astype(np.int64), row.data
+        """(item indices, rating values) of one user row, as copies."""
+        lo, hi = self.matrix.indptr[u], self.matrix.indptr[u + 1]
+        return (
+            self.matrix.indices[lo:hi].astype(np.int64),
+            self.matrix.data[lo:hi].copy(),
+        )
 
-    def restrict(self, entry_indices) -> "InteractionMatrix":
-        """Same user/item universes, entries limited to the given positions."""
-        entry_indices = np.asarray(entry_indices, dtype=np.int64)
-        entries = [
+    def _entries(self, positions) -> list[tuple]:
+        return [
             (
                 self.user_ids[self.entry_users[i]],
                 self.item_ids[self.entry_items[i]],
                 self.entry_ratings[i],
                 self.entry_timestamps[i],
             )
-            for i in entry_indices
+            for i in positions
         ]
+
+    def restrict(self, entry_indices) -> "InteractionMatrix":
+        """Same user/item universes, entries limited to the given positions."""
+        entries = self._entries(np.asarray(entry_indices, dtype=np.int64))
         return InteractionMatrix(entries, item_ids=self.item_ids, user_ids=self.user_ids)
+
+    def with_items(self, item_ids) -> "InteractionMatrix":
+        """Same entries and users over another item universe."""
+        entries = self._entries(range(self.n_entries))
+        return InteractionMatrix(entries, item_ids=item_ids, user_ids=self.user_ids)
 
 
 def load_ratings_csv(path: str | Path, item_ids=None) -> InteractionMatrix:
@@ -251,6 +268,13 @@ def train_collective_slim(
     feature Gram spectral norm, which makes it a guaranteed descent step for
     any ``learning_rate * (1 - alpha) <= 0.5`` and keeps the two pulls in
     balance, so the ranking updates cannot outrun the reconstruction term.
+
+    S is not stored inside the loop. Every update is linear in S, so it is
+    kept as ``S = s * B.T + G @ Z.T`` with the diagonal read as zero: ``B``
+    (n x n, row t holds column t of S) takes the ranking writes divided by
+    the running decay ``s``, and ``Z`` (n x k) the feature steps, in the
+    k = min(n, d) columns of G. ``L = B @ G`` follows B, so a feature step
+    never touches an n x n array.
     """
     if R.n_entries == 0:
         raise ParameterError("cannot train on an empty interaction matrix")
@@ -260,7 +284,6 @@ def train_collective_slim(
         )
     n = R.n_items
     G = standardize_columns(F.values)
-    GT = G.T.copy()
 
     rated_idx: list[np.ndarray] = []
     rated_val: list[np.ndarray] = []
@@ -271,11 +294,12 @@ def train_collective_slim(
         rated_val.append(val)
         rated_set.append(set(int(i) for i in idx))
 
+    # (user, positive item, position of the item in the user's rated row)
     pairs = [
-        (u, int(i))
+        (u, int(i), pos)
         for u in range(R.n_users)
         if 0 < len(rated_idx[u]) < n
-        for i, r in zip(rated_idx[u], rated_val[u])
+        for pos, (i, r) in enumerate(zip(rated_idx[u], rated_val[u]))
         if r >= cfg.relevance_threshold
     ]
 
@@ -289,17 +313,44 @@ def train_collective_slim(
         feature_steps = min(400, max(1, round(2.0 / (lr * (1.0 - alpha)))))
     else:
         feature_steps = 0
+    decay = 1.0 - lr * gamma
+    if use_features:
+        if G.shape[1] > n:
+            # the feature term sees G only through G @ G.T, which the thin
+            # factor U * sigma (n x n) reproduces
+            U, sigma, _ = np.linalg.svd(G, full_matrices=False)
+            G = U * sigma
+        H = G.T @ G
+        gain = lr * 2.0 * (1.0 - alpha) / lam_f
 
+    B = np.zeros((n, n))
+    Z = np.zeros((n, G.shape[1]))
+    L = np.zeros_like(Z)
+    resid = np.empty_like(Z)
+    s = 1.0
     sse_acc = [0.0, 0]
 
-    def feature_step(S):
-        resid = GT - GT @ S
-        sse_acc[0] += float((resid ** 2).sum())
+    def feature_step():
+        # resid = G - S.T @ G = G - (s L + Z H - m G): B never takes a
+        # diagonal write, so m = rowdot(Z, G) is the whole diagonal of
+        # s B.T + G Z.T, which the zero clamp removes
+        nonlocal s, B, L, Z, resid
+        np.matmul(Z, H, out=resid)
+        resid += s * L
+        resid -= np.einsum("ij,ij->i", Z, G)[:, None] * G
+        np.subtract(G, resid, out=resid)
+        sse_acc[0] += float(np.vdot(resid, resid))
         sse_acc[1] += 1
-        S += lr * ((2.0 * (1.0 - alpha) / lam_f) * (G @ resid) - gamma * S)
-        np.fill_diagonal(S, 0.0)
+        resid *= gain
+        Z *= decay
+        Z += resid
+        s *= decay
+        if abs(s) < 1e-30:  # fold the decay into B before B / s overflows
+            B *= s
+            L *= s
+            s = 1.0
 
-    S = np.zeros((n, n))
+    signs = np.array([1.0, -1.0])
     rng = np.random.default_rng(cfg.seed)
     history = []
     for epoch in range(cfg.epochs):
@@ -308,21 +359,35 @@ def train_collective_slim(
         if run_bpr:
             order = rng.permutation(len(pairs))
             for p in order:
-                u, i = pairs[p]
+                u, i, pos = pairs[p]
                 j = sample_negative(rng, rated_set[u], n)
                 idx, val = rated_idx[u], rated_val[u]
-                x_i = val @ S[idx, i]
-                x_j = val @ S[idx, j]
+                rows = ([i], [j]), idx
+                cols = B[rows]  # S[idx, i] and S[idx, j] as two rows
+                if use_features:
+                    G_idx = G[idx]
+                    cols *= s
+                    cols += Z[[i, j]] @ G_idx.T
+                cols[0, pos] = 0.0
+                x_i, x_j = cols @ val
                 bpr_loss += np.logaddexp(0.0, x_j - x_i)
                 z = expit(x_j - x_i)
-                S[idx, i] += lr * (alpha * z * val - gamma * S[idx, i])
-                S[idx, j] += lr * (-alpha * z * val - gamma * S[idx, j])
-                S[i, i] = 0.0
+                delta = np.multiply.outer(signs, alpha * z * val)
+                delta -= gamma * cols
+                delta *= lr
+                delta[0, pos] = 0.0
+                delta /= s  # s stays 1.0 without feature steps
+                B[rows] += delta
                 if use_features:
-                    feature_step(S)
+                    L[[i, j]] += delta @ G_idx
+                    feature_step()
         else:
             for _ in range(feature_steps):
-                feature_step(S)
+                feature_step()
+        S = np.multiply(B.T, s, order="C")
+        if use_features:
+            S += G @ Z.T
+        np.fill_diagonal(S, 0.0)
         if not np.isfinite(S).all():
             raise DivergenceError(
                 f"similarity matrix diverged at epoch {epoch}; lower the learning rate"
@@ -333,7 +398,7 @@ def train_collective_slim(
             if sse_acc[1]:
                 total += (1.0 - alpha) * sse_acc[0] / sse_acc[1]
             else:
-                total += (1.0 - alpha) * float(((GT - GT @ S) ** 2).sum())
+                total += (1.0 - alpha) * float(((G.T - G.T @ S) ** 2).sum())
         total += gamma * float((S ** 2).sum())
         history.append(total)
     return SimilarityModel(
@@ -403,15 +468,32 @@ def load_model(path: str | Path) -> SimilarityModel:
         raise FormatError(f"{path}: not a similarity checkpoint", offset=0)
     (_, n, _d, alpha, gamma, lr, threshold, seed, epochs) = _HEADER.unpack_from(data)
     pos = _HEADER.size
-    item_ids = np.frombuffer(data, dtype="<i8", count=n, offset=pos)
-    pos += 8 * n
-    (nnz,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    indptr = np.frombuffer(data, dtype="<i8", count=n + 1, offset=pos)
-    pos += 8 * (n + 1)
-    indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=pos)
-    pos += 8 * nnz
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=pos)
+
+    def take(dtype, count):
+        nonlocal pos
+        end = pos + 8 * count
+        if end > len(data):
+            raise FormatError(
+                f"{path}: checkpoint payload truncated, {end - len(data)} bytes short",
+                offset=len(data),
+            )
+        out = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        pos = end
+        return out
+
+    item_ids = take("<i8", n)
+    nnz = int(take("<u8", 1)[0])
+    indptr = take("<i8", n + 1)
+    indices = take("<i8", nnz)
+    values = take("<f8", nnz)
+    # a bad pointer or index would make toarray write out of bounds
+    if (
+        indptr[0] != 0
+        or indptr[-1] != nnz
+        or (np.diff(indptr) < 0).any()
+        or (nnz and not 0 <= indices.min() <= indices.max() < n)
+    ):
+        raise FormatError(f"{path}: inconsistent sparse index arrays in checkpoint")
     matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n)).toarray()
     cfg = TrainConfig(
         alpha=alpha,
@@ -421,4 +503,9 @@ def load_model(path: str | Path) -> SimilarityModel:
         seed=int(seed),
         relevance_threshold=threshold,
     )
-    return SimilarityModel(matrix=matrix, config=cfg, item_ids=tuple(int(i) for i in item_ids))
+    try:
+        return SimilarityModel(
+            matrix=matrix, config=cfg, item_ids=tuple(int(i) for i in item_ids)
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -2,12 +2,26 @@
 
 Nothing here shares code with the package implementations: the DCT oracle is
 the O(N^4) double loop, the CCA oracle a multiresolution angular grid sweep,
-HSV quantization a scalar re-derivation, and so on.
+HSV quantization a scalar re-derivation, and so on. The one exception is the
+collective SLIM oracle, which shares the trainer's input preparation and
+differs from it in how S is stored and updated.
 """
 
 import math
 
 import numpy as np
+from scipy.special import expit
+
+from visrec.errors import AlignmentError, DivergenceError, ParameterError
+from visrec.recsys import (
+    FeatureMatrix,
+    InteractionMatrix,
+    SimilarityModel,
+    TrainConfig,
+    _spectral_norm,
+    sample_negative,
+    standardize_columns,
+)
 
 
 # --- scalar HSV quantization (mirrors the spec'd binning, written longhand) --
@@ -288,3 +302,111 @@ def metrics_oracle(observations, cutoff):
         ("standard", "recall"): float(np.mean(recs)),
         ("standard", "map"): float(np.mean(aps)),
     }
+
+
+# --- collective SLIM: the dense trainer, one full O(n^2 d) feature step per
+# triple. It keeps S as a plain n x n array and applies every update to it
+# as written. It reuses the package's input preparation (column
+# standardisation, negative sampler, Gram spectral norm) so that both
+# trainers consume the same random stream; the arithmetic on S is its own.
+
+def collective_slim_oracle(
+    R: InteractionMatrix, F: FeatureMatrix, cfg: TrainConfig
+) -> SimilarityModel:
+    """Learn S from sampled ranking triples (weight alpha), each triple
+    update interleaved with one gradient step on the feature-reconstruction
+    term (weight 1 - alpha). Deterministic given cfg.seed.
+
+    Feature columns are standardized first so ``alpha`` means the same thing
+    across feature families. Each feature gradient step is scaled by the
+    feature Gram spectral norm, which makes it a guaranteed descent step for
+    any ``learning_rate * (1 - alpha) <= 0.5`` and keeps the two pulls in
+    balance, so the ranking updates cannot outrun the reconstruction term.
+    """
+    if R.n_entries == 0:
+        raise ParameterError("cannot train on an empty interaction matrix")
+    if F.item_ids != R.item_ids:
+        raise AlignmentError(
+            "feature matrix items and interaction matrix items are not aligned"
+        )
+    n = R.n_items
+    G = standardize_columns(F.values)
+    GT = G.T.copy()
+
+    rated_idx: list[np.ndarray] = []
+    rated_val: list[np.ndarray] = []
+    rated_set: list[set[int]] = []
+    for u in range(R.n_users):
+        idx, val = R.user_ratings(u)
+        rated_idx.append(idx)
+        rated_val.append(val)
+        rated_set.append(set(int(i) for i in idx))
+
+    pairs = [
+        (u, int(i))
+        for u in range(R.n_users)
+        if 0 < len(rated_idx[u]) < n
+        for i, r in zip(rated_idx[u], rated_val[u])
+        if r >= cfg.relevance_threshold
+    ]
+
+    lam_f = _spectral_norm(G) if cfg.alpha < 1.0 else 0.0
+    use_features = cfg.alpha < 1.0 and lam_f > 0.0
+    lr, alpha, gamma = cfg.learning_rate, cfg.alpha, cfg.gamma
+    run_bpr = alpha > 0.0 and bool(pairs)
+    # without ranking triples to pace them, run enough feature steps per
+    # epoch to keep plain gradient descent moving at any learning rate
+    if use_features and not run_bpr:
+        feature_steps = min(400, max(1, round(2.0 / (lr * (1.0 - alpha)))))
+    else:
+        feature_steps = 0
+
+    sse_acc = [0.0, 0]
+
+    def feature_step(S):
+        resid = GT - GT @ S
+        sse_acc[0] += float((resid ** 2).sum())
+        sse_acc[1] += 1
+        S += lr * ((2.0 * (1.0 - alpha) / lam_f) * (G @ resid) - gamma * S)
+        np.fill_diagonal(S, 0.0)
+
+    S = np.zeros((n, n))
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for epoch in range(cfg.epochs):
+        bpr_loss = 0.0
+        sse_acc[:] = [0.0, 0]
+        if run_bpr:
+            order = rng.permutation(len(pairs))
+            for p in order:
+                u, i = pairs[p]
+                j = sample_negative(rng, rated_set[u], n)
+                idx, val = rated_idx[u], rated_val[u]
+                x_i = val @ S[idx, i]
+                x_j = val @ S[idx, j]
+                bpr_loss += np.logaddexp(0.0, x_j - x_i)
+                z = expit(x_j - x_i)
+                S[idx, i] += lr * (alpha * z * val - gamma * S[idx, i])
+                S[idx, j] += lr * (-alpha * z * val - gamma * S[idx, j])
+                S[i, i] = 0.0
+                if use_features:
+                    feature_step(S)
+        else:
+            for _ in range(feature_steps):
+                feature_step(S)
+        if not np.isfinite(S).all():
+            raise DivergenceError(
+                f"similarity matrix diverged at epoch {epoch}; lower the learning rate"
+            )
+        # monitor: every component averaged over the epoch's steps
+        total = alpha * (bpr_loss / len(pairs) if pairs else 0.0)
+        if alpha < 1.0:
+            if sse_acc[1]:
+                total += (1.0 - alpha) * sse_acc[0] / sse_acc[1]
+            else:
+                total += (1.0 - alpha) * float(((GT - GT @ S) ** 2).sum())
+        total += gamma * float((S ** 2).sum())
+        history.append(total)
+    return SimilarityModel(
+        matrix=S, config=cfg, item_ids=R.item_ids, loss_history=tuple(history)
+    )

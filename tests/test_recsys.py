@@ -4,8 +4,10 @@ import pytest
 from visrec.errors import (
     AlignmentError,
     DuplicateKeyError,
+    FormatError,
     MissingUserError,
     ParameterError,
+    ToolkitError,
 )
 from visrec.recsys import (
     FeatureMatrix,
@@ -21,6 +23,7 @@ from visrec.recsys import (
 )
 
 from datasets import two_block_dataset
+from oracles import collective_slim_oracle
 
 
 def tiny_R():
@@ -57,6 +60,27 @@ class TestInteractionMatrix:
         sub = R.restrict([0, 3])
         assert sub.item_ids == R.item_ids and sub.user_ids == R.user_ids
         assert sub.n_entries == 2
+
+    def test_user_ratings_match_rows_and_are_copies(self):
+        R, _, _ = two_block_dataset(seed=3)
+        before = R.matrix.copy()
+        for u in range(R.n_users):
+            row = R.matrix.getrow(u)
+            idx, val = R.user_ratings(u)
+            np.testing.assert_array_equal(idx, row.indices)
+            np.testing.assert_array_equal(val, row.data)
+            assert idx.dtype == np.int64
+            idx[:] = 0
+            val[:] = 0.0
+        assert (R.matrix != before).nnz == 0
+
+    def test_with_items_widens_universe(self):
+        R = tiny_R()
+        wide = R.with_items([5, 10, 20, 30, 40, 50])
+        assert wide.user_ids == R.user_ids and wide.n_entries == R.n_entries
+        assert wide.item_ids == (5, 10, 20, 30, 40, 50)
+        np.testing.assert_array_equal(wide.matrix.toarray()[:, 1:5], R.matrix.toarray())
+        np.testing.assert_array_equal(wide.entry_timestamps, R.entry_timestamps)
 
 
 class TestTrainCollectiveSlim:
@@ -147,6 +171,22 @@ class TestTrainCollectiveSlim:
         assert len(losses) == 20
         assert np.diff(losses).max() <= 0.05 * losses[0]
         assert losses[-1] <= 0.5 * losses[0]
+
+    @pytest.mark.parametrize("lr_gamma", [5e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [4, 30])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_matches_dense_oracle(self, alpha, d, lr_gamma):
+        # d = 30 > 12 items runs on the thin factor of G; lr * gamma = 0.5
+        # folds the decay every 100 steps and lr * gamma = 1 zeroes it
+        R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
+        F = flat_features(R, d=d, seed=3)
+        cfg = TrainConfig(alpha=alpha, gamma=lr_gamma / 0.05, learning_rate=0.05,
+                          epochs=3, seed=4)
+        model = train_collective_slim(R, F, cfg)
+        ref = collective_slim_oracle(R, F, cfg)
+        np.testing.assert_allclose(model.matrix, ref.matrix, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.loss_history, ref.loss_history, rtol=1e-9)
+        assert np.abs(np.diag(model.matrix)).max() == 0.0
 
     def test_misaligned_features_rejected(self):
         R = tiny_R()
@@ -258,3 +298,35 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.matrix, model.matrix)
         assert back.item_ids == model.item_ids
         assert back.config == cfg
+
+    def test_truncated_checkpoint_raises_format_error(self, tmp_path):
+        R = tiny_R()
+        model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(FormatError) as err:
+                load_model(cut)
+            assert err.value.offset in (0, size)
+        cut.write_bytes(data)
+        np.testing.assert_array_equal(load_model(cut).matrix, model.matrix)
+
+    def test_corrupted_checkpoint_raises_toolkit_error(self, tmp_path):
+        # a corrupt index pointer that reaches scipy's toarray unchecked
+        # crashes the process; every byte flip must load or raise cleanly
+        R = tiny_R()
+        model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        data = path.read_bytes()
+        for pos in range(len(data)):
+            for byte in (0x01, 0x7F, 0xFF):
+                path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
+                try:
+                    back = load_model(path)
+                except ToolkitError:
+                    continue
+                assert back.matrix.shape == model.matrix.shape
