@@ -1,7 +1,7 @@
 """Batch command-line interface: one subcommand per pipeline stage.
 
 Exit code 0 on success; every error class maps to its own nonzero code
-(see errors.py).
+(see errors.py), config errors included.
 """
 
 from __future__ import annotations
@@ -15,33 +15,42 @@ from .errors import ToolkitError
 from .pipeline import FAMILIES, PipelineConfig, run_stage
 
 
-def _load_config(ctx) -> PipelineConfig:
+class _ToolkitGroup(click.Group):
+    """Reports any ToolkitError a subcommand raises and exits with its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ToolkitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code)
+
+
+def _run(ctx, stages, family="mpeg7", overrides=None, **kwargs):
+    """Run ``stages`` in order for ``family``, or for every configured family
+    when ``family`` is None. ``overrides`` maps config fields to new values;
+    a None value keeps the config's."""
     params = ctx.obj
     if params["config"] is None:
         raise click.UsageError("--config is required for pipeline stages")
     cfg = PipelineConfig.from_json(params["config"])
     if params["seed"] is not None:
         cfg.seed = params["seed"]
-    return cfg
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            setattr(cfg, name, value)
+    for fam in [family] if family else cfg.families:
+        for stage in stages:
+            outputs = run_stage(stage, cfg, family=fam, force=params["force"],
+                                jobs=params["jobs"], **kwargs)
+            label = stage if family else f"{stage} {fam}"
+            if outputs:
+                click.echo(f"{label}: wrote {len(outputs)} artifact(s) under {cfg.cache_dir}")
+            else:
+                click.echo(f"{label}: up to date")
 
 
-def _run(ctx, stage: str, **kwargs):
-    params = ctx.obj
-    cfg = _load_config(ctx)
-    try:
-        outputs = run_stage(
-            stage, cfg, force=params["force"], jobs=params["jobs"], **kwargs
-        )
-    except ToolkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    if outputs:
-        click.echo(f"{stage}: wrote {len(outputs)} artifact(s) under {cfg.cache_dir}")
-    else:
-        click.echo(f"{stage}: up to date")
-
-
-@click.group()
+@click.group(cls=_ToolkitGroup)
 @click.option("--config", type=click.Path(exists=True, path_type=Path), default=None,
               help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -54,18 +63,23 @@ def main(ctx, config, seed, jobs, force):
     ctx.obj = {"config": config, "seed": seed, "jobs": jobs, "force": force}
 
 
-@main.command()
-@click.pass_context
-def segment(ctx):
-    """Detect shots and dump one keyframe per shot."""
-    _run(ctx, "segment")
+def _stage_command(stage: str, doc: str):
+    """A subcommand that runs one stage with no options of its own."""
+
+    @main.command(stage, help=doc)
+    @click.pass_context
+    def command(ctx):
+        _run(ctx, [stage])
+
+    return command
 
 
-@main.command()
-@click.pass_context
-def extract(ctx):
-    """Compute the five visual descriptors for every keyframe."""
-    _run(ctx, "extract")
+segment = _stage_command("segment", "Detect shots and dump one keyframe per shot.")
+extract = _stage_command(
+    "extract", "Compute the 774-element MPEG-7 descriptor vector for every keyframe."
+)
+fuse = _stage_command("fuse", "Fit CCA on the two visual families and emit fused vectors.")
+textfeat = _stage_command("textfeat", "Build the genre and tag-LSA baseline features.")
 
 
 _AGG_CHOICES = click.Choice(["intersection", "average", "median", "union"])
@@ -79,35 +93,7 @@ _AGG_CHOICES = click.Choice(["intersection", "average", "median", "union"])
 @click.pass_context
 def aggregate(ctx, agg_mpeg7, agg_dnn):
     """Collapse keyframe vectors into movie-level vectors."""
-    cfg_overrides = {}
-    if agg_mpeg7:
-        cfg_overrides["agg_mpeg7"] = agg_mpeg7
-    if agg_dnn:
-        cfg_overrides["agg_dnn"] = agg_dnn
-    params = ctx.obj
-    cfg = _load_config(ctx)
-    for key, value in cfg_overrides.items():
-        setattr(cfg, key, value)
-    try:
-        outputs = run_stage("aggregate", cfg, force=params["force"], jobs=params["jobs"])
-    except ToolkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    click.echo("aggregate: " + (f"wrote {len(outputs)} artifact(s)" if outputs else "up to date"))
-
-
-@main.command()
-@click.pass_context
-def fuse(ctx):
-    """Fit CCA on the two visual families and emit fused vectors."""
-    _run(ctx, "fuse")
-
-
-@main.command()
-@click.pass_context
-def textfeat(ctx):
-    """Build the genre and tag-LSA baseline features."""
-    _run(ctx, "textfeat")
+    _run(ctx, ["aggregate"], overrides={"agg_mpeg7": agg_mpeg7, "agg_dnn": agg_dnn})
 
 
 _FAMILY_CHOICE = click.Choice(sorted(FAMILIES))
@@ -121,31 +107,13 @@ def _hyper_options(fn):
     return fn
 
 
-def _apply_hypers(cfg, alpha, gamma, learning_rate, epochs):
-    for name, value in (
-        ("alpha", alpha), ("gamma", gamma),
-        ("learning_rate", learning_rate), ("epochs", epochs),
-    ):
-        if value is not None:
-            setattr(cfg, name, value)
-
-
 @main.command()
 @click.option("--features", type=_FAMILY_CHOICE, default="mpeg7", show_default=True)
 @_hyper_options
 @click.pass_context
-def train(ctx, features, alpha, gamma, learning_rate, epochs):
+def train(ctx, features, **hypers):
     """Train a similarity model on the full rating set."""
-    params = ctx.obj
-    cfg = _load_config(ctx)
-    _apply_hypers(cfg, alpha, gamma, learning_rate, epochs)
-    try:
-        outputs = run_stage("train", cfg, family=features,
-                            force=params["force"], jobs=params["jobs"])
-    except ToolkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    click.echo("train: " + (f"wrote {len(outputs)} artifact(s)" if outputs else "up to date"))
+    _run(ctx, ["train"], features, hypers)
 
 
 @main.command()
@@ -153,20 +121,9 @@ def train(ctx, features, alpha, gamma, learning_rate, epochs):
               help="Single family; default: every family from the config.")
 @_hyper_options
 @click.pass_context
-def evaluate(ctx, features, alpha, gamma, learning_rate, epochs):
+def evaluate(ctx, features, **hypers):
     """Run the 5-fold top-N evaluation protocol."""
-    params = ctx.obj
-    cfg = _load_config(ctx)
-    _apply_hypers(cfg, alpha, gamma, learning_rate, epochs)
-    families = [features] if features else list(cfg.families)
-    for family in families:
-        try:
-            run_stage("evaluate", cfg, family=family,
-                      force=params["force"], jobs=params["jobs"])
-        except ToolkitError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
-    click.echo("evaluate: done")
+    _run(ctx, ["evaluate"], features, hypers)
 
 
 @main.command()
@@ -176,27 +133,15 @@ def evaluate(ctx, features, alpha, gamma, learning_rate, epochs):
 @click.pass_context
 def recommend(ctx, features, user, top_n):
     """Print the trained model's top-N items for one user."""
-    _run(ctx, "recommend", family=features, user=user, top_n=top_n)
+    _run(ctx, ["recommend"], features, user=user, top_n=top_n)
 
 
 @main.command("run-all")
 @click.pass_context
 def run_all(ctx):
     """Run segment, extract, aggregate, fuse, textfeat and evaluate in order."""
-    params = ctx.obj
-    cfg = _load_config(ctx)
-    stages = ["segment", "extract", "aggregate", "fuse", "textfeat"]
-    try:
-        for stage in stages:
-            run_stage(stage, cfg, force=params["force"], jobs=params["jobs"])
-            click.echo(f"{stage}: ok")
-        for family in cfg.families:
-            run_stage("evaluate", cfg, family=family,
-                      force=params["force"], jobs=params["jobs"])
-    except ToolkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    click.echo("run-all: done")
+    _run(ctx, ["segment", "extract", "aggregate", "fuse", "textfeat"])
+    _run(ctx, ["evaluate"], family=None)
 
 
 @main.command("make-mini-dataset")

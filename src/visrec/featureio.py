@@ -127,8 +127,11 @@ def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
             raise DimensionError(
                 f"{path} line {lineno}: expected {length} values, got {len(row) - kind_col - 1}"
             )
-        movie_id = int(row[0])
-        kf = int(row[1]) if keyed else None
+        try:
+            movie_id = int(row[0])
+            kf = int(row[1]) if keyed else None
+        except ValueError:
+            raise FormatError(f"{path} line {lineno}: non-integer id in {row[:kind_col]}") from None
         try:
             vec = FeatureVector(row[kind_col], np.array(row[kind_col + 1 :], dtype=np.float64))
         except DimensionError as exc:

@@ -197,21 +197,26 @@ def parse_y4m(data: bytes) -> FrameStream:
     width = height = None
     frame_rate = 25.0
     chroma = "420"
-    for tag in header.split(" ")[1:]:
-        if not tag:
-            continue
-        key, val = tag[0], tag[1:]
-        if key == "W":
-            width = int(val)
-        elif key == "H":
-            height = int(val)
-        elif key == "F":
-            num, den = val.split(":")
-            frame_rate = int(num) / int(den)
-        elif key == "C":
-            if val not in _CHROMA_MODES:
-                raise FormatError(f"unsupported chroma mode C{val}", offset=len(_Y4M_SIGNATURE))
-            chroma = _CHROMA_MODES[val]
+    tags = header.split(" ")
+    # decoding maps each header byte to one character, so this is a byte offset
+    offset = len(tags[0]) + 1
+    for tag in tags[1:]:
+        key, val = tag[:1], tag[1:]
+        try:
+            if key == "W":
+                width = int(val)
+            elif key == "H":
+                height = int(val)
+            elif key == "F":
+                num, den = val.split(":")
+                frame_rate = int(num) / int(den)
+            elif key == "C":
+                if val not in _CHROMA_MODES:
+                    raise FormatError(f"unsupported chroma mode C{val}", offset=len(_Y4M_SIGNATURE))
+                chroma = _CHROMA_MODES[val]
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"malformed stream header tag {tag!r}", offset=offset) from None
+        offset += len(tag) + 1
     if width is None or height is None or width < 1 or height < 1:
         raise FormatError("stream header lacks valid W/H tags", offset=0)
     if chroma in ("420", "422") and width % 2:

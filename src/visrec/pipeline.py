@@ -1,9 +1,15 @@
 """Batch pipeline stages over a persistent, digest-keyed feature cache.
 
-Each stage writes its artifacts plus a ``manifest_*.json`` recording input
-digests, parameters and seed. Re-running a stage whose manifest matches the
-current inputs is a no-op; a mismatch is an error unless forced, so cached
-features are never silently rebuilt or silently reused across input changes.
+``STAGES`` maps each stage name to a ``Stage`` of two plain functions:
+``key(cfg, args)`` checks the stage's preconditions and returns the inputs,
+parameters and variant its cache key hashes, and ``build(cfg, args,
+stage_dir)`` writes the artifacts and returns their paths. ``run_stage`` is
+the one runner: it builds the cache key, returns early when the stage's
+``manifest_*.json`` matches, drops that manifest, calls ``build`` and then
+writes a fresh manifest recording input digests, parameters, seed and output
+digests. A mismatch is an error unless forced, so cached features are never
+silently rebuilt or silently reused across input changes, and a build that
+stops midway leaves no manifest to report it up to date.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .featureio import (
     write_keyframe_manifest,
 )
 from .fusion import fit_cca, fuse_matrix, save_cca
-from .media import parse_y4m, write_ppm
+from .media import parse_ppm, parse_y4m, write_ppm
 from .recsys import (
     FeatureMatrix,
     TrainConfig,
@@ -49,17 +56,6 @@ from .recsys import (
 from .shots import detect_shots, shots_to_csv
 from .textfeat import build_genre_matrix, fit_tag_lsa, load_movies_csv, load_tags_csv
 
-STAGES = (
-    "segment",
-    "extract",
-    "aggregate",
-    "fuse",
-    "textfeat",
-    "train",
-    "evaluate",
-    "recommend",
-)
-
 FAMILIES = {
     "mpeg7": "MPEG7_ALL",
     "dnn": "DNN",
@@ -68,13 +64,13 @@ FAMILIES = {
     "tag-lsa": "TAG_LSA",
 }
 
-_DESCRIPTOR_FUNCS = {
-    "SCD": descriptors.scd,
-    "CSD": descriptors.csd,
-    "CLD": descriptors.cld,
-    "EHD": descriptors.ehd,
-    "HTD": descriptors.htd,
-    "MPEG7_ALL": descriptors.mpeg7_all,
+# the stage that writes each family's movie-level feature file
+_FAMILY_STAGE = {
+    "mpeg7": "aggregate",
+    "dnn": "aggregate",
+    "fused": "fuse",
+    "genre": "textfeat",
+    "tag-lsa": "textfeat",
 }
 
 
@@ -110,6 +106,8 @@ class PipelineConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -150,10 +148,6 @@ def _digest_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _digest_tree(root: Path, pattern: str) -> dict[str, str]:
-    return {p.name: _digest_file(p) for p in sorted(root.glob(pattern))}
 
 
 def _cache_key(inputs: dict, params: dict, seed: int) -> str:
@@ -220,33 +214,60 @@ def _require_stage(cfg: PipelineConfig, stage: str, variant: str | None = None) 
     return stage_dir
 
 
+def _manifest_digest(cfg: PipelineConfig, stage: str) -> str:
+    return _digest_file(_manifest_path(_require_stage(cfg, stage)))
+
+
+def _config_inputs(cfg: PipelineConfig, *names: str) -> dict[str, str]:
+    """Digests of the named config input files, which must be set and exist."""
+    cfg.require(*names)
+    return {name: _digest_file(Path(getattr(cfg, name))) for name in names}
+
+
 # ---------------------------------------------------------------------------
-# Stages
+# Stages: key(cfg, args) checks preconditions and returns what the cache key
+# hashes; build(cfg, args, stage_dir) writes the artifacts.
 # ---------------------------------------------------------------------------
 
-def stage_segment(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[Path]:
-    cfg.require("videos_dir")
+class StageArgs(NamedTuple):
+    family: str
+    user: int | None
+    top_n: int
+    jobs: int
+
+
+class Stage(NamedTuple):
+    key: Callable[[PipelineConfig, StageArgs], tuple[dict, dict, str | None]]
+    build: Callable[[PipelineConfig, StageArgs, Path], list[Path]]
+
+
+def _videos(cfg: PipelineConfig) -> list[tuple[int, Path]]:
     videos = sorted(Path(cfg.videos_dir).glob("*.y4m"))
     if not videos:
         raise ConfigError(f"no .y4m files under {cfg.videos_dir}")
-    cache = _StageCache(
-        cfg.cache_dir,
-        "segment",
-        inputs={"videos": _digest_tree(Path(cfg.videos_dir), "*.y4m")},
-        params={"threshold": cfg.threshold},
-        seed=cfg.seed,
-        force=force,
-    )
-    if cache.up_to_date():
-        return []
-    shots_dir = cache.stage_dir / "shots"
-    kf_dir = cache.stage_dir / "keyframes"
-    shots_dir.mkdir(parents=True, exist_ok=True)
-    kf_dir.mkdir(parents=True, exist_ok=True)
+    out = []
+    for video in videos:
+        try:
+            out.append((int(video.stem), video))
+        except ValueError:
+            raise ConfigError(f"video file name is not a movie id: {video}") from None
+    return out
+
+
+def _segment_key(cfg: PipelineConfig, args: StageArgs):
+    cfg.require("videos_dir")
+    videos = {video.name: _digest_file(video) for _, video in _videos(cfg)}
+    return {"videos": videos}, {"threshold": cfg.threshold}, None
+
+
+def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    shots_dir = stage_dir / "shots"
+    kf_dir = stage_dir / "keyframes"
+    shots_dir.mkdir(exist_ok=True)
+    kf_dir.mkdir(exist_ok=True)
     outputs = []
     manifest_entries = []
-    for video in videos:
-        movie_id = int(video.stem)
+    for movie_id, video in _videos(cfg):
         stream = parse_y4m(video.read_bytes())
         shots = detect_shots(stream, threshold=cfg.threshold)
         shots_csv = shots_dir / f"{movie_id}.csv"
@@ -259,63 +280,46 @@ def stage_segment(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> li
             ppm.write_bytes(write_ppm(stream.frames[kf]))
             outputs.append(ppm)
             manifest_entries.append((movie_id, kf))
-    kf_manifest = cache.stage_dir / "keyframe_manifest.csv"
+    kf_manifest = stage_dir / "keyframe_manifest.csv"
     write_keyframe_manifest(kf_manifest, manifest_entries)
     outputs.append(kf_manifest)
-    cache.commit(outputs)
     return outputs
 
 
-def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, dict]:
-    """Worker: descriptor vectors for every keyframe of one movie."""
-    from .media import parse_ppm  # local import keeps workers light
-
+def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, list]:
+    """Worker: the 774-element MPEG-7 vector of every keyframe of one movie."""
     movie_id, keyframes = args
-    out: dict[str, list[tuple[int, np.ndarray]]] = {k: [] for k in _DESCRIPTOR_FUNCS}
-    for kf, ppm_path in keyframes:
-        frame = parse_ppm(Path(ppm_path).read_bytes())
-        for kind, func in _DESCRIPTOR_FUNCS.items():
-            out[kind].append((kf, func(frame).values))
-    return movie_id, out
+    return movie_id, [
+        (kf, descriptors.mpeg7_all(parse_ppm(Path(ppm_path).read_bytes())))
+        for kf, ppm_path in keyframes
+    ]
 
 
-def stage_extract(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[Path]:
-    segment_dir = _require_stage(cfg, "segment")
-    cache = _StageCache(
-        cfg.cache_dir,
-        "extract",
-        inputs={"segment": _digest_file(_manifest_path(segment_dir))},
-        params={},
-        seed=cfg.seed,
-        force=force,
-    )
-    if cache.up_to_date():
-        return []
-    manifest = read_keyframe_manifest(segment_dir / "keyframe_manifest.csv")
+def _extract_key(cfg: PipelineConfig, args: StageArgs):
+    return {"segment": _manifest_digest(cfg, "segment")}, {}, None
+
+
+def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    segment_dir = cfg.cache_dir / "segment"
     by_movie: dict[int, list[tuple[int, str]]] = {}
-    for movie_id, kf in manifest:
+    for movie_id, kf in read_keyframe_manifest(segment_dir / "keyframe_manifest.csv"):
         ppm = segment_dir / "keyframes" / str(movie_id) / f"{kf}.ppm"
         by_movie.setdefault(movie_id, []).append((kf, str(ppm)))
     work = sorted(by_movie.items())
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_extract_movie, work))
     else:
         results = [_extract_movie(item) for item in work]
-    feat_dir = cache.stage_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for kind in _DESCRIPTOR_FUNCS:
-        records = [
-            FeatureRecord(movie_id, kf, FeatureVector(kind, values))
-            for movie_id, per_kind in results
-            for kf, values in per_kind[kind]
-        ]
-        path = feat_dir / f"{kind}.keyframes.bin"
-        write_feature_bin(path, records)
-        outputs.append(path)
-    cache.commit(outputs)
-    return outputs
+    feat_dir = stage_dir / "features"
+    feat_dir.mkdir(exist_ok=True)
+    path = feat_dir / "MPEG7_ALL.keyframes.bin"
+    write_feature_bin(path, [
+        FeatureRecord(movie_id, kf, vector)
+        for movie_id, vectors in results
+        for kf, vector in vectors
+    ])
+    return [path]
 
 
 def _movie_level(records: list[FeatureRecord], kind: AggregationKind) -> list[FeatureRecord]:
@@ -328,35 +332,29 @@ def _movie_level(records: list[FeatureRecord], kind: AggregationKind) -> list[Fe
     ]
 
 
-def stage_aggregate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[Path]:
-    segment_dir = _require_stage(cfg, "segment")
-    extract_dir = _require_stage(cfg, "extract")
-    inputs = {"extract": _digest_file(_manifest_path(extract_dir))}
+def _aggregate_key(cfg: PipelineConfig, args: StageArgs):
+    _require_stage(cfg, "segment")
+    inputs = {"extract": _manifest_digest(cfg, "extract")}
     if cfg.embeddings is not None:
-        cfg.require("embeddings")
-        inputs["embeddings"] = _digest_file(Path(cfg.embeddings))
-    cache = _StageCache(
-        cfg.cache_dir,
-        "aggregate",
-        inputs=inputs,
-        params={"agg_mpeg7": cfg.agg_mpeg7, "agg_dnn": cfg.agg_dnn},
-        seed=cfg.seed,
-        force=force,
-    )
-    if cache.up_to_date():
-        return []
-    feat_dir = cache.stage_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+        inputs.update(_config_inputs(cfg, "embeddings"))
+    return inputs, {"agg_mpeg7": cfg.agg_mpeg7, "agg_dnn": cfg.agg_dnn}, None
+
+
+def _aggregate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    feat_dir = stage_dir / "features"
+    feat_dir.mkdir(exist_ok=True)
     outputs = []
 
-    mpeg7_records = read_feature_file(extract_dir / "features" / "MPEG7_ALL.keyframes.bin")
+    mpeg7_records = read_feature_file(
+        cfg.cache_dir / "extract" / "features" / "MPEG7_ALL.keyframes.bin"
+    )
     agg_kind = AggregationKind(cfg.agg_mpeg7)
     path = feat_dir / "MPEG7_ALL.movies.bin"
     write_feature_bin(path, _movie_level(mpeg7_records, agg_kind))
     outputs.append(path)
 
     if cfg.embeddings is not None:
-        manifest = read_keyframe_manifest(segment_dir / "keyframe_manifest.csv")
+        manifest = read_keyframe_manifest(cfg.cache_dir / "segment" / "keyframe_manifest.csv")
         table = load_embeddings(cfg.embeddings, expected=manifest)
         dnn_records = [
             FeatureRecord(movie_id, kf, FeatureVector("DNN", table[(movie_id, kf)]))
@@ -365,7 +363,6 @@ def stage_aggregate(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> 
         path = feat_dir / "DNN.movies.bin"
         write_feature_bin(path, _movie_level(dnn_records, AggregationKind(cfg.agg_dnn)))
         outputs.append(path)
-    cache.commit(outputs)
     return outputs
 
 
@@ -374,33 +371,22 @@ def _records_to_matrix(records: list[FeatureRecord]) -> tuple[list[int], np.ndar
     return ids, np.vstack([r.vector.values for r in records])
 
 
-def stage_fuse(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[Path]:
-    cfg.require("ratings")
-    aggregate_dir = _require_stage(cfg, "aggregate")
-    dnn_path = aggregate_dir / "features" / "DNN.movies.bin"
-    if not dnn_path.exists():
+def _fuse_key(cfg: PipelineConfig, args: StageArgs):
+    inputs = _config_inputs(cfg, "ratings")
+    inputs["aggregate"] = _manifest_digest(cfg, "aggregate")
+    if not (cfg.cache_dir / "aggregate" / "features" / "DNN.movies.bin").exists():
         raise DependencyError(
             "fuse needs movie-level DNN features; run 'aggregate' with an "
             "embeddings file configured",
             required_stage="aggregate",
         )
-    cache = _StageCache(
-        cfg.cache_dir,
-        "fuse",
-        inputs={
-            "aggregate": _digest_file(_manifest_path(aggregate_dir)),
-            "ratings": _digest_file(Path(cfg.ratings)),
-        },
-        params={"cca_k": cfg.cca_k, "cca_ridge": cfg.cca_ridge},
-        seed=cfg.seed,
-        force=force,
-    )
-    if cache.up_to_date():
-        return []
-    m_ids, m_values = _records_to_matrix(
-        read_feature_file(aggregate_dir / "features" / "MPEG7_ALL.movies.bin")
-    )
-    d_ids, d_values = _records_to_matrix(read_feature_file(dnn_path))
+    return inputs, {"cca_k": cfg.cca_k, "cca_ridge": cfg.cca_ridge}, None
+
+
+def _fuse_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    features = cfg.cache_dir / "aggregate" / "features"
+    m_ids, m_values = _records_to_matrix(read_feature_file(features / "MPEG7_ALL.movies.bin"))
+    d_ids, d_values = _records_to_matrix(read_feature_file(features / "DNN.movies.bin"))
     if m_ids != d_ids:
         raise AlignmentError("MPEG-7 and DNN movie-level files cover different movies")
 
@@ -415,9 +401,9 @@ def stage_fuse(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[
     )
     fused = fuse_matrix(model, m_values, d_values)
 
-    feat_dir = cache.stage_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    model_path = cache.stage_dir / "cca_model.bin"
+    feat_dir = stage_dir / "features"
+    feat_dir.mkdir(exist_ok=True)
+    model_path = stage_dir / "cca_model.bin"
     save_cca(model_path, model)
     records = [
         FeatureRecord(movie_id, None, FeatureVector("FUSED", row))
@@ -425,29 +411,18 @@ def stage_fuse(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[
     ]
     fused_path = feat_dir / "FUSED.movies.bin"
     write_feature_bin(fused_path, records)
-    cache.commit([model_path, fused_path])
     return [model_path, fused_path]
 
 
-def stage_textfeat(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> list[Path]:
-    cfg.require("movies", "tags")
-    cache = _StageCache(
-        cfg.cache_dir,
-        "textfeat",
-        inputs={
-            "movies": _digest_file(Path(cfg.movies)),
-            "tags": _digest_file(Path(cfg.tags)),
-        },
-        params={"lsa_rank": cfg.lsa_rank},
-        seed=cfg.seed,
-        force=force,
-    )
-    if cache.up_to_date():
-        return []
+def _textfeat_key(cfg: PipelineConfig, args: StageArgs):
+    return _config_inputs(cfg, "movies", "tags"), {"lsa_rank": cfg.lsa_rank}, None
+
+
+def _textfeat_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     catalog = load_movies_csv(cfg.movies)
     genre_matrix, genre_ids = build_genre_matrix([(m, g) for m, _, g in catalog])
-    feat_dir = cache.stage_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    feat_dir = stage_dir / "features"
+    feat_dir.mkdir(exist_ok=True)
     genre_path = feat_dir / "GENRE.movies.bin"
     write_feature_bin(
         genre_path,
@@ -468,19 +443,12 @@ def stage_textfeat(cfg: PipelineConfig, force: bool = False, jobs: int = 1) -> l
             for movie_id, _, _ in catalog
         ],
     )
-    cache.commit([genre_path, lsa_path])
     return [genre_path, lsa_path]
 
 
 def _family_feature_path(cfg: PipelineConfig, family: str) -> Path:
-    kind = FAMILIES[family]
-    if family in ("mpeg7", "dnn"):
-        stage_dir = _require_stage(cfg, "aggregate")
-    elif family == "fused":
-        stage_dir = _require_stage(cfg, "fuse")
-    else:
-        stage_dir = _require_stage(cfg, "textfeat")
-    path = stage_dir / "features" / f"{kind}.movies.bin"
+    stage_dir = _require_stage(cfg, _FAMILY_STAGE[family])
+    path = stage_dir / "features" / f"{FAMILIES[family]}.movies.bin"
     if not path.exists():
         raise DependencyError(
             f"feature file for family {family!r} missing: {path}",
@@ -519,37 +487,28 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
     )
 
 
-def stage_train(cfg: PipelineConfig, family: str = "mpeg7", force: bool = False,
-                jobs: int = 1) -> list[Path]:
-    cfg.require("ratings")
-    feature_path = _family_feature_path(cfg, family)
-    cache = _StageCache(
-        cfg.cache_dir,
-        "train",
-        inputs={
-            "ratings": _digest_file(Path(cfg.ratings)),
-            "features": _digest_file(feature_path),
-        },
-        params={
-            "family": family,
+def _train_key(cfg: PipelineConfig, args: StageArgs):
+    inputs = _config_inputs(cfg, "ratings")
+    inputs["features"] = _digest_file(_family_feature_path(cfg, args.family))
+    return (
+        inputs,
+        {
+            "family": args.family,
             "alpha": cfg.alpha,
             "gamma": cfg.gamma,
             "learning_rate": cfg.learning_rate,
             "epochs": cfg.epochs,
             "relevance_threshold": cfg.relevance_threshold,
         },
-        seed=cfg.seed,
-        force=force,
-        variant=family,
+        args.family,
     )
-    if cache.up_to_date():
-        return []
-    R, F = load_family_matrix(cfg, family)
+
+
+def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    R, F = load_family_matrix(cfg, args.family)
     model = train_collective_slim(R, F, _train_config(cfg))
-    cache.stage_dir.mkdir(parents=True, exist_ok=True)
-    path = cache.stage_dir / f"model_{family}.bin"
+    path = stage_dir / f"model_{args.family}.bin"
     save_model(path, model, feature_dim=F.d)
-    cache.commit([path])
     return [path]
 
 
@@ -577,98 +536,74 @@ def run_evaluation(cfg: PipelineConfig, family: str) -> EvalReport:
     return report
 
 
-def stage_evaluate(cfg: PipelineConfig, family: str = "mpeg7", force: bool = False,
-                   jobs: int = 1) -> list[Path]:
-    cfg.require("ratings")
-    feature_path = _family_feature_path(cfg, family)
-    cache = _StageCache(
-        cfg.cache_dir,
-        "evaluate",
-        inputs={
-            "ratings": _digest_file(Path(cfg.ratings)),
-            "features": _digest_file(feature_path),
-        },
-        params={
-            "family": family,
-            "alpha": cfg.alpha,
-            "gamma": cfg.gamma,
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "relevance_threshold": cfg.relevance_threshold,
-            "folds": cfg.folds,
-            "cutoffs": list(cfg.cutoffs),
-            "eval_on": cfg.eval_on,
-        },
-        seed=cfg.seed,
-        force=force,
-        variant=family,
-    )
-    if cache.up_to_date():
-        return []
-    report = run_evaluation(cfg, family)
-    cache.stage_dir.mkdir(parents=True, exist_ok=True)
-    path = cache.stage_dir / f"report_{family}.csv"
+def _evaluate_key(cfg: PipelineConfig, args: StageArgs):
+    inputs, params, variant = _train_key(cfg, args)
+    params.update(folds=cfg.folds, cutoffs=list(cfg.cutoffs), eval_on=cfg.eval_on)
+    return inputs, params, variant
+
+
+def _evaluate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    report = run_evaluation(cfg, args.family)
+    path = stage_dir / f"report_{args.family}.csv"
     path.write_text(report.to_csv())
-    print(f"== {family} ==")
+    print(f"== {args.family} ==")
     print(report.table())
-    cache.commit([path])
     return [path]
 
 
-def stage_recommend(cfg: PipelineConfig, family: str = "mpeg7", user: int | None = None,
-                    top_n: int = 10, force: bool = False, jobs: int = 1) -> list[Path]:
-    if user is None:
+def _recommend_key(cfg: PipelineConfig, args: StageArgs):
+    if args.user is None:
         raise ConfigError("recommend needs --user")
-    cfg.require("ratings")
-    train_dir = _require_stage(cfg, "train", variant=family)
-    model_path = train_dir / f"model_{family}.bin"
-    cache = _StageCache(
-        cfg.cache_dir,
-        "recommend",
-        inputs={
-            "ratings": _digest_file(Path(cfg.ratings)),
-            "model": _digest_file(model_path),
-        },
-        params={"family": family, "user": user, "top_n": top_n},
-        seed=cfg.seed,
-        force=force,
-        variant=f"{family}_u{user}",
-    )
-    if cache.up_to_date():
-        return []
-    model = load_model(model_path)
+    inputs = _config_inputs(cfg, "ratings")
+    train_dir = _require_stage(cfg, "train", variant=args.family)
+    inputs["model"] = _digest_file(train_dir / f"model_{args.family}.bin")
+    params = {"family": args.family, "user": args.user, "top_n": args.top_n}
+    return inputs, params, f"{args.family}_u{args.user}"
+
+
+def _recommend_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
+    model = load_model(cfg.cache_dir / "train" / f"model_{args.family}.bin")
     R = load_ratings_csv(cfg.ratings, item_ids=list(model.item_ids))
-    items = recommend(model, R, user, top_n)
-    cache.stage_dir.mkdir(parents=True, exist_ok=True)
-    path = cache.stage_dir / f"recommendations_{family}_u{user}.csv"
+    items = recommend(model, R, args.user, args.top_n)
+    path = stage_dir / f"recommendations_{args.family}_u{args.user}.csv"
     lines = ["rank,movie_id"] + [f"{i + 1},{m}" for i, m in enumerate(items)]
     path.write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    cache.commit([path])
     return [path]
+
+
+STAGES: dict[str, Stage] = {
+    "segment": Stage(_segment_key, _segment_build),
+    "extract": Stage(_extract_key, _extract_build),
+    "aggregate": Stage(_aggregate_key, _aggregate_build),
+    "fuse": Stage(_fuse_key, _fuse_build),
+    "textfeat": Stage(_textfeat_key, _textfeat_build),
+    "train": Stage(_train_key, _train_build),
+    "evaluate": Stage(_evaluate_key, _evaluate_build),
+    "recommend": Stage(_recommend_key, _recommend_build),
+}
 
 
 def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
               user: int | None = None, top_n: int = 10, force: bool = False,
               jobs: int = 1) -> list[Path]:
+    """Run one stage through the cache; returns its outputs, or [] if up to date.
+
+    The old manifest is removed before the build and the new one written
+    after it, so a build that stops midway leaves no manifest behind.
+    """
     if stage not in STAGES:
-        raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
+        raise ConfigError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
     cfg.cache_dir = Path(cfg.cache_dir)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-    if stage == "segment":
-        return stage_segment(cfg, force=force, jobs=jobs)
-    if stage == "extract":
-        return stage_extract(cfg, force=force, jobs=jobs)
-    if stage == "aggregate":
-        return stage_aggregate(cfg, force=force, jobs=jobs)
-    if stage == "fuse":
-        return stage_fuse(cfg, force=force, jobs=jobs)
-    if stage == "textfeat":
-        return stage_textfeat(cfg, force=force, jobs=jobs)
-    if stage == "train":
-        return stage_train(cfg, family=family, force=force, jobs=jobs)
-    if stage == "evaluate":
-        return stage_evaluate(cfg, family=family, force=force, jobs=jobs)
-    return stage_recommend(cfg, family=family, user=user, top_n=top_n,
-                           force=force, jobs=jobs)
+    args = StageArgs(family=family, user=user, top_n=top_n, jobs=jobs)
+    inputs, params, variant = STAGES[stage].key(cfg, args)
+    cache = _StageCache(cfg.cache_dir, stage, inputs, params, cfg.seed, force, variant)
+    if cache.up_to_date():
+        return []
+    cache.manifest_file.unlink(missing_ok=True)
+    cache.stage_dir.mkdir(exist_ok=True)
+    outputs = STAGES[stage].build(cfg, args, cache.stage_dir)
+    cache.commit(outputs)
+    return outputs

@@ -80,6 +80,16 @@ class TestCsvFormat:
         with pytest.raises(KindMismatchError):
             write_feature_csv(tmp_path / "bad.csv", records)
 
+    @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD"])
+    def test_non_integer_movie_id_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        write_feature_csv(path, records_of("CLD", 120, [(1, None)]))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [row + lines[1][len("1,CLD"):]]) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_feature_csv(path)
+        assert "line 3" in str(err.value)
+
 
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):

@@ -62,6 +62,16 @@ class TestParseY4m:
             parse_y4m(data)
         assert "frame 1" in str(err.value)
 
+    @pytest.mark.parametrize("header, offset", [
+        ("YUV4MPEG2 Wx H4", 10),
+        ("YUV4MPEG2 W4 H4 F30", 16),
+        ("YUV4MPEG2 W4 H4 F30:0", 16),
+    ])
+    def test_malformed_header_tag_reports_offset(self, header, offset):
+        with pytest.raises(FormatError) as err:
+            parse_y4m(y4m_bytes(header, []))
+        assert err.value.offset == offset
+
     def test_422_and_444_chroma(self):
         p422 = bytes([100] * 16 + [128] * 8 + [128] * 8)
         s422 = parse_y4m(y4m_bytes("YUV4MPEG2 W4 H4 C422", [p422]))

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
+from visrec import pipeline
 from visrec.cli import main
 from visrec.errors import ConfigError, DependencyError, StaleCacheError
 from visrec.featureio import read_feature_file
@@ -22,6 +24,23 @@ def load_cfg(config_path):
     return PipelineConfig.from_json(config_path)
 
 
+def cli_config(mini, tmp_path):
+    """A copy of the mini config with absolute paths and a cache under tmp_path."""
+    cfg_data = json.loads(mini.read_text())
+    for key in ("videos_dir", "ratings", "tags", "movies", "embeddings"):
+        cfg_data[key] = str(mini.parent / cfg_data[key])
+    cfg_data["cache_dir"] = str(tmp_path / "cache")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_data))
+    return cfg_path
+
+
+def invoke(cfg_path, *args):
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), *args])
+    assert result.exit_code == 0, result.output
+    return result
+
+
 class TestStageOrdering:
     def test_extract_requires_segment(self, mini, tmp_path):
         cfg = load_cfg(mini)
@@ -35,6 +54,17 @@ class TestStageOrdering:
         cfg.cache_dir = tmp_path / "cache"
         with pytest.raises(DependencyError):
             run_stage("train", cfg, family="mpeg7")
+
+    def test_video_name_must_be_movie_id(self, mini, tmp_path):
+        videos = tmp_path / "videos"
+        shutil.copytree(mini.parent / "videos", videos)
+        shutil.copy(videos / "1.y4m", videos / "abc.y4m")
+        cfg = load_cfg(mini)
+        cfg.videos_dir = videos
+        cfg.cache_dir = tmp_path / "cache"
+        with pytest.raises(ConfigError, match="abc.y4m"):
+            run_stage("segment", cfg)
+        assert not (cfg.cache_dir / "segment").exists()
 
 
 class TestCacheSemantics:
@@ -56,6 +86,25 @@ class TestCacheSemantics:
         assert outputs
         cfg.threshold = 0.75
         run_stage("segment", cfg, force=True)  # restore for other tests
+
+    def test_interrupted_forced_rebuild_is_not_up_to_date(self, mini, tmp_path, monkeypatch):
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
+        run_stage("segment", cfg)
+        calls = []
+        write_ppm = pipeline.write_ppm
+
+        def failing_write_ppm(frame):
+            calls.append(frame)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write_ppm(frame)
+
+        monkeypatch.setattr(pipeline, "write_ppm", failing_write_ppm)
+        with pytest.raises(OSError):
+            run_stage("segment", cfg, force=True)
+        monkeypatch.undo()
+        assert run_stage("segment", cfg)
 
     def test_unknown_stage(self, mini):
         with pytest.raises(ConfigError):
@@ -80,6 +129,8 @@ class TestStageOutputs:
             cfg.cache_dir / "extract" / "features" / "MPEG7_ALL.keyframes.bin"
         )
         assert all(len(r.vector) == 774 for r in records)
+        features = cfg.cache_dir / "extract" / "features"
+        assert [p.name for p in features.iterdir()] == ["MPEG7_ALL.keyframes.bin"]
         run_stage("aggregate", cfg)
         movie_level = read_feature_file(
             cfg.cache_dir / "aggregate" / "features" / "MPEG7_ALL.movies.bin"
@@ -168,6 +219,48 @@ class TestCli:
         r2 = runner.invoke(main, ["--config", str(cfg_path), "segment"])
         assert r2.exit_code == 0
         assert "up to date" in r2.output
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"rating_file": "x.csv"}),
+        json.dumps({"families": ["bogus"]}),
+        "5",
+    ])
+    def test_config_errors_exit_with_config_code(self, tmp_path, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "segment"])
+        assert result.exit_code == ConfigError.exit_code
+        assert type(result.exception) is SystemExit
+        assert "error:" in result.output
+
+    def test_aggregate_override(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "segment")
+        invoke(cfg_path, "extract")
+        invoke(cfg_path, "aggregate", "--agg-mpeg7", "average")
+        manifest = json.loads((tmp_path / "cache" / "aggregate" / "manifest.json").read_text())
+        assert manifest["params"]["agg_mpeg7"] == "average"
+
+    def test_train_hyper_flags(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        invoke(cfg_path, "train", "--features", "genre", "--epochs", "1", "--alpha", "0.6")
+        manifest = json.loads(
+            (tmp_path / "cache" / "train" / "manifest_genre.json").read_text()
+        )
+        assert manifest["params"]["epochs"] == 1
+        assert manifest["params"]["alpha"] == 0.6
+        assert (tmp_path / "cache" / "train" / "model_genre.bin").exists()
+
+    def test_evaluate_every_configured_family(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        for stage in ("segment", "extract", "aggregate", "fuse", "textfeat"):
+            invoke(cfg_path, stage)
+        invoke(cfg_path, "evaluate", "--epochs", "1")
+        reports = sorted(p.name for p in (tmp_path / "cache" / "evaluate").glob("report_*.csv"))
+        families = load_cfg(mini).families
+        assert reports == sorted(f"report_{family}.csv" for family in families)
 
     def test_mini_dataset_command(self, tmp_path):
         runner = CliRunner()
