@@ -5,10 +5,9 @@ Two interchangeable formats carry feature records:
 * CSV, human-readable. Movie-level files use the header
   ``movie_id,kind,v0,...,v{L-1}``; per-keyframe files insert a
   ``keyframe_index`` column after ``movie_id``.
-* A compact binary cache format: magic, kind tag, vector length, record
-  count, then per record ``movie_id`` and ``keyframe_index`` as signed
-  64-bit integers (-1 marks a movie-level record) followed by the values
-  as little-endian 64-bit floats.
+* The toolkit's binary container (``write_arrays``), tag ``features``, attr
+  ``kind``, with the columns ``movie_id``, ``keyframe_index`` (-1 marks a
+  movie-level record) and ``values`` (one row per record).
 
 A file holds records of exactly one kind.
 """
@@ -16,9 +15,12 @@ A file holds records of exactly one kind.
 from __future__ import annotations
 
 import csv
-import struct
+import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -90,9 +92,30 @@ def _check_uniform(records: list[FeatureRecord]) -> tuple[str, int]:
     return kind, length
 
 
+@contextmanager
+def _located(where: Callable[[], str]):
+    """Prefix errors raised while reading with ``where()``, the file line or
+    record being read; a value a FeatureVector or ``int`` refuses is a
+    FormatError."""
+    try:
+        yield
+    except (DimensionError, KindMismatchError) as exc:
+        raise type(exc)(f"{where()}: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{where()}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # CSV format
 # ---------------------------------------------------------------------------
+
+def _read_csv_rows(path: str | Path) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: neither a visrec binary file nor text CSV ({exc})") from None
+
 
 def write_feature_csv(path: str | Path, records: list[FeatureRecord]) -> None:
     kind, length = _check_uniform(records)
@@ -107,8 +130,7 @@ def write_feature_csv(path: str | Path, records: list[FeatureRecord]) -> None:
 
 
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty feature file")
     header = rows[0]
@@ -127,69 +149,118 @@ def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
             raise DimensionError(
                 f"{path} line {lineno}: expected {length} values, got {len(row) - kind_col - 1}"
             )
-        try:
+        with _located(lambda: f"{path} line {lineno}"):
             movie_id = int(row[0])
             kf = int(row[1]) if keyed else None
-        except ValueError:
-            raise FormatError(f"{path} line {lineno}: non-integer id in {row[:kind_col]}") from None
-        try:
-            vec = FeatureVector(row[kind_col], np.array(row[kind_col + 1 :], dtype=np.float64))
-        except DimensionError as exc:
-            raise DimensionError(f"{path} line {lineno}: {exc}") from None
+            vec = FeatureVector(row[kind_col], row[kind_col + 1 :])
         records.append(FeatureRecord(movie_id, kf, vec))
     return records
 
 
 # ---------------------------------------------------------------------------
-# Binary format
+# Binary container
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"VRFEAT1\n"
-_HEADER = struct.Struct("<8s16sIQ")
+CONTAINER_MAGIC = b"\x89VISREC\n"  # no text file starts with 0x89
+
+
+def write_arrays(path: str | Path, tag: str, attrs: dict, **arrays) -> None:
+    """Write the container every binary artifact of the toolkit uses: an 8-byte
+    magic, a little-endian u32 header length, a JSON header naming the tag,
+    the scalar attrs and each array's name, dtype and shape, then the arrays'
+    bytes in header order, integer ones as ``<i8`` and all others ``<f8``."""
+    arrays = {k: np.asarray(a) for k, a in arrays.items()}
+    arrays = {k: a.astype("<i8" if a.dtype.kind in "iu" else "<f8", copy=False)
+              for k, a in arrays.items()}
+    specs = [{"name": k, "dtype": a.dtype.str, "shape": list(a.shape)} for k, a in arrays.items()]
+    header = json.dumps({"tag": tag, "attrs": attrs, "arrays": specs}, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(CONTAINER_MAGIC + len(header).to_bytes(4, "little") + header)
+        fh.writelines(a.tobytes() for a in arrays.values())
+
+
+def _header_ok(header, tag: str, attrs: dict[str, type], arrays: dict[str, str]) -> bool:
+    """Whether a parsed header holds exactly the expected tag, attrs and arrays."""
+    values = header["attrs"]
+    # an int is a valid float; a bool is no number
+    if (header["tag"] != tag or values.keys() != attrs.keys()
+            or any(type(values[k]) not in {t, int if t is float else t} for k, t in attrs.items())
+            or [spec["name"] for spec in header["arrays"]] != list(arrays)):
+        return False
+    dims: dict[str, int] = {}
+    for spec in header["arrays"]:
+        dtype, *symbols = arrays[spec["name"]].split()
+        if spec["dtype"] != dtype or len(spec["shape"]) != len(symbols):
+            return False
+        for symbol, d in zip(symbols, spec["shape"]):
+            if type(d) is not int or d < 0 or dims.setdefault(symbol, d) != d:
+                return False
+    return True
+
+
+def read_arrays(
+    path: str | Path, tag: str, attrs: dict[str, type], arrays: dict[str, str]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container file: its attrs and read-only views of its arrays.
+
+    ``attrs`` maps each attr name to its type and ``arrays`` each array name,
+    in file order, to its dtype and a symbol per dimension (``"<f8 n n"``).
+    Any fault raises FormatError, at offset 0 without the magic and at the
+    file length when cut.
+    """
+    data = Path(path).read_bytes()
+    start = len(CONTAINER_MAGIC) + 4
+    if len(data) < start or not data.startswith(CONTAINER_MAGIC):
+        raise FormatError(f"{path}: not a visrec binary file", offset=0)
+    end = start + int.from_bytes(data[start - 4 : start], "little")
+    if end > len(data):
+        raise FormatError(f"{path}: header truncated", offset=len(data))
+    try:
+        header = json.loads(data[start:end])
+        ok = _header_ok(header, tag, attrs, arrays)
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        ok = False
+    if not ok:
+        raise FormatError(f"{path}: not a {tag!r} file with attrs {sorted(attrs)} and "
+                          f"arrays {arrays}", offset=start)
+    sizes = [8 * math.prod(spec["shape"]) for spec in header["arrays"]]
+    if len(data) != end + sum(sizes):
+        raise FormatError(f"{path}: file holds {len(data)} bytes, header implies "
+                          f"{end + sum(sizes)}", offset=min(len(data), end + sum(sizes)))
+    out, pos = {}, end
+    for spec, size in zip(header["arrays"], sizes):
+        array = np.frombuffer(data, spec["dtype"], size // 8, pos)
+        out[spec["name"]] = array.reshape(spec["shape"])
+        pos += size
+    return header["attrs"], out
+
+
+_FEATURE_ARRAYS = {"movie_id": "<i8 n", "keyframe_index": "<i8 n", "values": "<f8 n L"}
 
 
 def write_feature_bin(path: str | Path, records: list[FeatureRecord]) -> None:
-    kind, length = _check_uniform(records)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, kind.encode().ljust(16), length, len(records)))
-        for rec in records:
-            kf = -1 if rec.keyframe_index is None else rec.keyframe_index
-            fh.write(struct.pack("<qq", rec.movie_id, kf))
-            fh.write(rec.vector.values.astype("<f8").tobytes())
+    kind, _ = _check_uniform(records)
+    keyframes = [-1 if r.keyframe_index is None else r.keyframe_index for r in records]
+    write_arrays(path, "features", {"kind": kind}, movie_id=[r.movie_id for r in records],
+                 keyframe_index=keyframes, values=[r.vector.values for r in records])
 
 
 def read_feature_bin(path: str | Path) -> list[FeatureRecord]:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or not data.startswith(_MAGIC):
-        raise FormatError(f"{path}: missing feature-cache magic", offset=0)
-    _, kind_raw, length, count = _HEADER.unpack_from(data)
-    kind = kind_raw.decode().strip()
-    rec_size = 16 + 8 * length
-    expected = _HEADER.size + count * rec_size
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: file holds {len(data)} bytes, header implies {expected}",
-            offset=min(len(data), expected),
-        )
+    attrs, arrays = read_arrays(path, "features", {"kind": str}, _FEATURE_ARRAYS)
+    ids, kfs, values = arrays.values()
     records = []
-    pos = _HEADER.size
-    for row in range(count):
-        movie_id, kf = struct.unpack_from("<qq", data, pos)
-        values = np.frombuffer(data, dtype="<f8", count=length, offset=pos + 16)
-        try:
-            vec = FeatureVector(kind, values)
-        except DimensionError as exc:
-            raise DimensionError(f"{path} record {row}: {exc}") from None
-        records.append(FeatureRecord(movie_id, None if kf < 0 else kf, vec))
-        pos += rec_size
+    with _located(lambda: f"{path} record {len(records)}"):
+        for movie_id, kf, row in zip(ids.tolist(), kfs.tolist(), values):
+            vector = FeatureVector(attrs["kind"], row)
+            records.append(FeatureRecord(movie_id, None if kf < 0 else kf, vector))
     return records
 
 
 def read_feature_file(path: str | Path) -> list[FeatureRecord]:
-    """Dispatch on content: binary cache magic, otherwise CSV."""
+    """Dispatch on content: the binary container's magic, otherwise CSV."""
     with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC))
-    if head == _MAGIC:
+        head = fh.read(len(CONTAINER_MAGIC))
+    if head == CONTAINER_MAGIC:
         return read_feature_bin(path)
     return read_feature_csv(path)
 
@@ -210,8 +281,13 @@ def write_keyframe_manifest(path: str | Path, entries: list[tuple[int, int]]) ->
 
 
 def read_keyframe_manifest(path: str | Path) -> list[tuple[int, int]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv_rows(path)
     if not rows or rows[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: unexpected manifest header")
-    return [(int(r[0]), int(r[1])) for r in rows[1:] if r]
+    entries = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if row:
+            with _located(lambda: f"{path} line {lineno}"):
+                movie_id, kf = map(int, row)
+            entries.append((movie_id, kf))
+    return entries

@@ -7,7 +7,6 @@ keeps both views rather than collapsing them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,11 +15,10 @@ import numpy as np
 from .errors import (
     AlignmentError,
     DimensionError,
-    FormatError,
     ParameterError,
     SingularityError,
 )
-from .featureio import FeatureVector
+from .featureio import FeatureVector, read_arrays, write_arrays
 
 DEFAULT_RIDGE_FACTOR = 1e-4
 
@@ -149,46 +147,18 @@ def fuse_matrix(model: CcaModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: small header + little-endian float64 payload
+# Serialization: a "cca" container file (see featureio)
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"VRCCA1\n\x00"
-_HEADER = struct.Struct("<8sIIIdd")
+_CCA_ARRAYS = {"mean_x": "<f8 d1", "mean_y": "<f8 d2", "correlations": "<f8 k",
+               "wx": "<f8 d1 k", "wy": "<f8 d2 k"}
 
 
 def save_cca(path: str | Path, model: CcaModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, model.d1, model.d2, model.k, model.ridge_x, model.ridge_y
-            )
-        )
-        for arr in (model.mean_x, model.mean_y, model.correlations, model.wx, model.wy):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    attrs = {"ridge_x": model.ridge_x, "ridge_y": model.ridge_y}
+    write_arrays(path, "cca", attrs, **{name: getattr(model, name) for name in _CCA_ARRAYS})
 
 
 def load_cca(path: str | Path) -> CcaModel:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or not data.startswith(_MAGIC):
-        raise FormatError(f"{path}: not a CCA model file", offset=0)
-    _, d1, d2, k, ridge_x, ridge_y = _HEADER.unpack_from(data)
-    sizes = [d1, d2, k, d1 * k, d2 * k]
-    expected = _HEADER.size + 8 * sum(sizes)
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload size mismatch", offset=min(len(data), expected))
-    arrays = []
-    pos = _HEADER.size
-    for count in sizes:
-        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy())
-        pos += 8 * count
-    mean_x, mean_y, correlations, wx, wy = arrays
-    return CcaModel(
-        wx=wx.reshape(d1, k),
-        wy=wy.reshape(d2, k),
-        correlations=correlations,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        k=k,
-        ridge_x=ridge_x,
-        ridge_y=ridge_y,
-    )
+    attrs, arrays = read_arrays(path, "cca", {"ridge_x": float, "ridge_y": float}, _CCA_ARRAYS)
+    return CcaModel(**arrays, k=arrays["wx"].shape[1], **attrs)

@@ -19,7 +19,8 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from types import UnionType
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .evaluation import EvalReport, collect_observations, compute_metrics, make_splits
 from .featureio import (
+    CONTAINER_MAGIC,
     FeatureRecord,
     FeatureVector,
     read_feature_file,
@@ -72,6 +74,16 @@ _FAMILY_STAGE = {
     "genre": "textfeat",
     "tag-lsa": "textfeat",
 }
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type: paths are strings, an
+    int is a valid float, and a bool is no number."""
+    if get_origin(hint) is UnionType:
+        return any(_json_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        return type(value) is list and all(_json_fits(v, get_args(hint)[0]) for v in value)
+    return type(value) in {Path: (str,), float: (int, float)}.get(hint, (hint,))
 
 
 @dataclass
@@ -112,6 +124,10 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for name, value in raw.items():
+            if not _json_fits(value, hints[name]):
+                raise ConfigError(f"{path}: config key {name!r} has the wrong type: {value!r}")
         cfg = cls(**raw)
         # relative paths resolve against the config file location
         base = path.parent
@@ -151,8 +167,10 @@ def _digest_file(path: Path) -> str:
 
 
 def _cache_key(inputs: dict, params: dict, seed: int) -> str:
+    # the binary format is part of every key, so a cache written in another
+    # format is stale rather than silently reused
     canon = json.dumps(
-        {"inputs": inputs, "params": params, "seed": seed},
+        {"format": CONTAINER_MAGIC.hex(), "inputs": inputs, "params": params, "seed": seed},
         sort_keys=True,
         separators=(",", ":"),
     )

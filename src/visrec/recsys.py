@@ -18,8 +18,7 @@ the same up to rounding. S is materialised once per epoch.
 from __future__ import annotations
 
 import csv
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     MissingUserError,
     ParameterError,
 )
+from .featureio import read_arrays, write_arrays
 
 RATING_MIN, RATING_MAX = 0.5, 5.0
 DEFAULT_RELEVANCE_THRESHOLD = 4.0
@@ -431,81 +431,25 @@ def recommend(model: SimilarityModel, R: InteractionMatrix, user_id, n: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: header + column-sparse payload
+# Checkpoints: a "similarity" container file (see featureio) of the item ids,
+# the dense S (it has no L1 term) and each TrainConfig field as an attr
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"VRSLIM1\n"
-_HEADER = struct.Struct("<8sIIddddqQ")
+_CHECKPOINT_ATTRS = {f.name: type(f.default) for f in fields(TrainConfig)} | {"feature_dim": int}
 
 
 def save_model(path: str | Path, model: SimilarityModel, feature_dim: int = 0) -> None:
-    cfg = model.config
-    csc = sp.csc_matrix(model.matrix)
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                model.matrix.shape[0],
-                feature_dim,
-                cfg.alpha,
-                cfg.gamma,
-                cfg.learning_rate,
-                cfg.relevance_threshold,
-                cfg.seed,
-                cfg.epochs,
-            )
-        )
-        fh.write(np.asarray(model.item_ids, dtype="<i8").tobytes())
-        fh.write(struct.pack("<Q", csc.nnz))
-        fh.write(csc.indptr.astype("<i8").tobytes())
-        fh.write(csc.indices.astype("<i8").tobytes())
-        fh.write(csc.data.astype("<f8").tobytes())
+    attrs = {**asdict(model.config), "feature_dim": feature_dim}
+    item_ids = np.asarray(model.item_ids, dtype=np.int64)
+    write_arrays(path, "similarity", attrs, item_ids=item_ids, matrix=model.matrix)
 
 
 def load_model(path: str | Path) -> SimilarityModel:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or not data.startswith(_MAGIC):
-        raise FormatError(f"{path}: not a similarity checkpoint", offset=0)
-    (_, n, _d, alpha, gamma, lr, threshold, seed, epochs) = _HEADER.unpack_from(data)
-    pos = _HEADER.size
-
-    def take(dtype, count):
-        nonlocal pos
-        end = pos + 8 * count
-        if end > len(data):
-            raise FormatError(
-                f"{path}: checkpoint payload truncated, {end - len(data)} bytes short",
-                offset=len(data),
-            )
-        out = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-        pos = end
-        return out
-
-    item_ids = take("<i8", n)
-    nnz = int(take("<u8", 1)[0])
-    indptr = take("<i8", n + 1)
-    indices = take("<i8", nnz)
-    values = take("<f8", nnz)
-    # a bad pointer or index would make toarray write out of bounds
-    if (
-        indptr[0] != 0
-        or indptr[-1] != nnz
-        or (np.diff(indptr) < 0).any()
-        or (nnz and not 0 <= indices.min() <= indices.max() < n)
-    ):
-        raise FormatError(f"{path}: inconsistent sparse index arrays in checkpoint")
-    matrix = sp.csc_matrix((values, indices, indptr), shape=(n, n)).toarray()
-    cfg = TrainConfig(
-        alpha=alpha,
-        gamma=gamma,
-        learning_rate=lr,
-        epochs=int(epochs),
-        seed=int(seed),
-        relevance_threshold=threshold,
-    )
+    attrs, arrays = read_arrays(path, "similarity", _CHECKPOINT_ATTRS,
+                                {"item_ids": "<i8 n", "matrix": "<f8 n n"})
+    del attrs["feature_dim"]
     try:
-        return SimilarityModel(
-            matrix=matrix, config=cfg, item_ids=tuple(int(i) for i in item_ids)
-        )
+        return SimilarityModel(matrix=arrays["matrix"], config=TrainConfig(**attrs),
+                               item_ids=tuple(arrays["item_ids"].tolist()))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -1,11 +1,15 @@
-import struct
-
 import numpy as np
 import pytest
 
 from visrec.embeddings import load_embeddings
 from visrec.errors import CoverageError, DimensionError, DuplicateKeyError, FormatError
-from visrec.featureio import FeatureRecord, FeatureVector, write_feature_bin, write_feature_csv
+from visrec.featureio import (
+    FeatureRecord,
+    FeatureVector,
+    write_arrays,
+    write_feature_bin,
+    write_feature_csv,
+)
 
 
 def write_dnn_file(path, keys, rng):
@@ -26,9 +30,8 @@ def test_structural_load(tmp_path, rng):
 
 
 def test_wrong_length_names_row(tmp_path):
-    header = struct.pack("<8s16sIQ", b"VRFEAT1\n", b"DNN".ljust(16), 1000, 1)
-    payload = struct.pack("<qq", 3, 0) + np.zeros(1000).tobytes()
-    (tmp_path / "short.bin").write_bytes(header + payload)
+    write_arrays(tmp_path / "short.bin", "features", {"kind": "DNN"}, movie_id=[3],
+                 keyframe_index=[0], values=np.zeros((1, 1000)))
     with pytest.raises(DimensionError) as err:
         load_embeddings(tmp_path / "short.bin")
     assert "record 0" in str(err.value) or "row 0" in str(err.value)

@@ -11,6 +11,7 @@ from visrec.featureio import (
     read_feature_csv,
     read_feature_file,
     read_keyframe_manifest,
+    write_arrays,
     write_feature_bin,
     write_feature_csv,
     write_keyframe_manifest,
@@ -90,6 +91,34 @@ class TestCsvFormat:
             read_feature_csv(path)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("kind, length, value", [
+        ("CLD", 120, "abc"),
+        ("CLD", 120, "nan"),
+        ("EHD", 80, "-1"),
+    ])
+    def test_bad_value_names_line(self, tmp_path, kind, length, value):
+        path = tmp_path / "bad.csv"
+        write_feature_csv(path, records_of(kind, length, [(1, None), (2, None)]))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_feature_file(path)
+        assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("data", [
+        np.random.default_rng(5).bytes(300),
+        # a file in the binary feature format that preceded the container
+        struct.pack("<8s16sIQqq", b"VRFEAT1\n", b"DNN".ljust(16), 2, 1, 4, 0)
+        + np.array([0.5, 0.25]).tobytes(),
+    ], ids=["random", "VRFEAT1"])
+    def test_binary_without_magic_names_file(self, tmp_path, data):
+        path = tmp_path / "old.bin"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read_feature_file(path)
+        assert str(path) in str(err.value)
+
 
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
@@ -118,9 +147,8 @@ class TestBinaryFormat:
     def test_bad_vector_length_names_record(self, tmp_path):
         # hand-build a DNN file whose vectors are 1000 long
         path = tmp_path / "short.bin"
-        header = struct.pack("<8s16sIQ", b"VRFEAT1\n", b"DNN".ljust(16), 1000, 1)
-        payload = struct.pack("<qq", 4, 0) + np.zeros(1000).tobytes()
-        path.write_bytes(header + payload)
+        write_arrays(path, "features", {"kind": "DNN"}, movie_id=[4], keyframe_index=[0],
+                     values=np.zeros((1, 1000)))
         with pytest.raises(DimensionError) as err:
             read_feature_bin(path)
         assert "record 0" in str(err.value)
@@ -140,3 +168,11 @@ class TestKeyframeManifest:
         path = tmp_path / "kf.csv"
         write_keyframe_manifest(path, entries)
         assert read_keyframe_manifest(path) == entries
+
+    @pytest.mark.parametrize("row", ["1,x", "1", "1,2,3"])
+    def test_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "kf.csv"
+        path.write_text(f"movie_id,keyframe_index\n1,0\n{row}\n")
+        with pytest.raises(FormatError) as err:
+            read_keyframe_manifest(path)
+        assert "line 3" in str(err.value)

@@ -195,6 +195,13 @@ class TestConfig:
             PipelineConfig.from_json(path)
 
 
+# config text -> the key whose value has the wrong type
+WRONG_TYPE_CONFIGS = {
+    json.dumps({"threshold": "abc"}): "threshold",
+    json.dumps({"videos_dir": 5}): "videos_dir",
+}
+
+
 class TestCli:
     def test_exit_codes_distinguish_errors(self, mini, tmp_path):
         runner = CliRunner()
@@ -225,6 +232,7 @@ class TestCli:
         json.dumps({"rating_file": "x.csv"}),
         json.dumps({"families": ["bogus"]}),
         "5",
+        *WRONG_TYPE_CONFIGS,
     ])
     def test_config_errors_exit_with_config_code(self, tmp_path, text):
         cfg_path = tmp_path / "cfg.json"
@@ -233,6 +241,8 @@ class TestCli:
         assert result.exit_code == ConfigError.exit_code
         assert type(result.exception) is SystemExit
         assert "error:" in result.output
+        if text in WRONG_TYPE_CONFIGS:
+            assert repr(WRONG_TYPE_CONFIGS[text]) in result.output
 
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)

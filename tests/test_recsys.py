@@ -9,6 +9,8 @@ from visrec.errors import (
     ParameterError,
     ToolkitError,
 )
+from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
+from visrec.fusion import fit_cca, load_cca, save_cca
 from visrec.recsys import (
     FeatureMatrix,
     InteractionMatrix,
@@ -287,6 +289,32 @@ class TestRecommend:
             assert rated.isdisjoint(recommend(model, R, user, 10))
 
 
+CONTAINER_KINDS = ["features", "cca", "checkpoint"]
+
+
+def write_container_file(kind, path):
+    """Write a small binary file of one kind; returns its loader, a function
+    picking the main array out of what was written or loaded, and what was
+    written."""
+    rng = np.random.default_rng(11)
+    if kind == "features":
+        records = [
+            FeatureRecord(movie_id, kf, FeatureVector("EHD", rng.random(80)))
+            for movie_id, kf in [(1, 0), (2, None)]
+        ]
+        write_feature_bin(path, records)
+        return read_feature_file, lambda back: np.vstack([r.vector.values for r in back]), records
+    if kind == "cca":
+        X = rng.normal(size=(12, 3))
+        model = fit_cca(X, X[:, :2] + 0.5 * rng.normal(size=(12, 2)))
+        save_cca(path, model)
+        return load_cca, lambda back: back.wx, model
+    R = tiny_R()
+    model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
+    save_model(path, model)
+    return load_model, lambda back: back.matrix, model
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         R, F, _ = two_block_dataset(seed=5)
@@ -299,34 +327,45 @@ class TestCheckpoint:
         assert back.item_ids == model.item_ids
         assert back.config == cfg
 
-    def test_truncated_checkpoint_raises_format_error(self, tmp_path):
-        R = tiny_R()
-        model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
-        path = tmp_path / "model.bin"
-        save_model(path, model)
+    def test_checkpoint_stores_dense_s(self, tmp_path):
+        # the dense payload is 8 n^2 bytes and the item ids 8 n; the header
+        # fits in 1 KiB. Sparse index arrays would double the size.
+        n = 40
+        matrix = np.random.default_rng(3).standard_normal((n, n))
+        np.fill_diagonal(matrix, 0.0)
+        model = SimilarityModel(matrix=matrix, config=TrainConfig(), item_ids=tuple(range(n)))
+        save_model(tmp_path / "model.bin", model)
+        assert (tmp_path / "model.bin").stat().st_size <= 8 * n * (n + 1) + 1024
+        np.testing.assert_array_equal(load_model(tmp_path / "model.bin").matrix, matrix)
+
+    @pytest.mark.parametrize("kind", CONTAINER_KINDS)
+    def test_truncated_checkpoint_raises_format_error(self, tmp_path, kind):
+        path = tmp_path / "file.bin"
+        load, payload, written = write_container_file(kind, path)
         data = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for size in range(len(data)):
             cut.write_bytes(data[:size])
             with pytest.raises(FormatError) as err:
-                load_model(cut)
-            assert err.value.offset in (0, size)
+                load(cut)
+            if kind != "features":  # a cut feature file may read as CSV
+                assert err.value.offset in (0, size)
         cut.write_bytes(data)
-        np.testing.assert_array_equal(load_model(cut).matrix, model.matrix)
+        np.testing.assert_array_equal(payload(load(cut)), payload(written))
 
-    def test_corrupted_checkpoint_raises_toolkit_error(self, tmp_path):
-        # a corrupt index pointer that reaches scipy's toarray unchecked
-        # crashes the process; every byte flip must load or raise cleanly
-        R = tiny_R()
-        model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
-        path = tmp_path / "model.bin"
-        save_model(path, model)
+    @pytest.mark.parametrize("kind", CONTAINER_KINDS)
+    def test_corrupted_checkpoint_raises_toolkit_error(self, tmp_path, kind):
+        # every byte flip must load or raise a ToolkitError, never crash
+        # the process or escape as another exception
+        path = tmp_path / "file.bin"
+        load, payload, written = write_container_file(kind, path)
+        shape = payload(written).shape
         data = path.read_bytes()
         for pos in range(len(data)):
             for byte in (0x01, 0x7F, 0xFF):
                 path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
                 try:
-                    back = load_model(path)
+                    back = load(path)
                 except ToolkitError:
                     continue
-                assert back.matrix.shape == model.matrix.shape
+                assert payload(back).shape == shape
