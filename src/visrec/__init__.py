@@ -3,7 +3,7 @@ top-N recommendation with an offline evaluation harness."""
 
 from .aggregate import AggregationKind, aggregate
 from .descriptors import cld, csd, ehd, htd, mpeg7_all, scd
-from .embeddings import EmbeddingTable, load_embeddings
+from .embeddings import load_embeddings
 from .evaluation import (
     EvalReport,
     compute_metrics,

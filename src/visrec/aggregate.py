@@ -26,13 +26,6 @@ _REDUCERS = {
     AggregationKind.UNION: lambda m: m.max(axis=0),
 }
 
-# Aggregation the experiments favor per feature family.
-DEFAULT_AGGREGATION = {
-    "MPEG7_ALL": AggregationKind.INTERSECTION,
-    "DNN": AggregationKind.AVERAGE,
-}
-
-
 def aggregate(vectors: list[FeatureVector], kind: AggregationKind) -> FeatureVector:
     """Elementwise min/mean/median/max across the keyframe vectors of one movie.
 

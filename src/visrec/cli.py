@@ -11,6 +11,7 @@ from pathlib import Path
 
 import click
 
+from .aggregate import AggregationKind
 from .errors import ToolkitError
 from .pipeline import FAMILIES, PipelineConfig, run_stage
 
@@ -82,7 +83,7 @@ fuse = _stage_command("fuse", "Fit CCA on the two visual families and emit fused
 textfeat = _stage_command("textfeat", "Build the genre and tag-LSA baseline features.")
 
 
-_AGG_CHOICES = click.Choice(["intersection", "average", "median", "union"])
+_AGG_CHOICES = click.Choice([kind.value for kind in AggregationKind])
 
 
 @main.command()

@@ -12,12 +12,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .errors import EmptyInputError, SizeError
+from .errors import SizeError
 from .featureio import FeatureVector
-from .media import FrameBuffer, luma
-from .shots import N_CELLS, hsv_cell_indices
-
-MPEG7_ORDER = ("SCD", "CSD", "CLD", "EHD", "HTD")
+from .media import FrameBuffer, luma, rgb_to_ycbcr_planes
+from .shots import N_CELLS, frame_histogram, hsv_cell_indices
 
 
 # ---------------------------------------------------------------------------
@@ -25,11 +23,8 @@ MPEG7_ORDER = ("SCD", "CSD", "CLD", "EHD", "HTD")
 # ---------------------------------------------------------------------------
 
 def scd(frame: FrameBuffer) -> FeatureVector:
-    cells = hsv_cell_indices(frame)
-    if cells.size == 0:
-        raise EmptyInputError("SCD needs at least one pixel")
-    counts = np.bincount(cells.ravel(), minlength=N_CELLS).astype(np.float64)
-    return FeatureVector("SCD", counts / cells.size)
+    """The frame's shot-detection histogram (``shots.frame_histogram``)."""
+    return FeatureVector("SCD", frame_histogram(frame).bins)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +98,8 @@ def cld(frame: FrameBuffer) -> FeatureVector:
         rx = -(-8 // frame.width)
         px = px.repeat(ry, axis=0).repeat(rx, axis=1)
     rep = _grid_means(px.astype(np.float64), 8)
-    y = 0.299 * rep[..., 0] + 0.587 * rep[..., 1] + 0.114 * rep[..., 2]
-    cb = 128.0 + 0.5 / (1.0 - 0.114) * (rep[..., 2] - y)
-    cr = 128.0 + 0.5 / (1.0 - 0.299) * (rep[..., 0] - y)
     parts = []
-    for plane in (y, cb, cr):
+    for plane in rgb_to_ycbcr_planes(rep):
         coeffs = scipy.fft.dctn(plane, norm="ortho").ravel()
         parts.append(coeffs[_ZIGZAG][:_CLD_COEFFS_PER_CHANNEL])
     return FeatureVector("CLD", np.concatenate(parts))

@@ -7,38 +7,20 @@ Activations are used raw, with no re-normalization at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, DimensionError, DuplicateKeyError, FormatError
-from .featureio import FIXED_LENGTHS, read_feature_file
-
-DNN_LENGTH = FIXED_LENGTHS["DNN"]
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Immutable map from (movie_id, keyframe_index) to a 1024-dim vector."""
-
-    entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        return self.entries[key]
-
-    def keys(self):
-        return self.entries.keys()
+from .errors import CoverageError, DuplicateKeyError, FormatError
+from .featureio import read_feature_file
 
 
 def load_embeddings(
     path: str | Path,
     expected: list[tuple[int, int]] | None = None,
-) -> EmbeddingTable:
-    """Read a DNN feature file; with a keyframe manifest, coverage must be exact.
+) -> dict[tuple[int, int], np.ndarray]:
+    """Read a DNN feature file into a map from (movie_id, keyframe_index) to
+    its 1024-dim vector; with a keyframe manifest, coverage must be exact.
 
     Row order never matters; duplicate (movie, keyframe) keys are rejected.
     """
@@ -48,11 +30,6 @@ def load_embeddings(
         if rec.vector.kind != "DNN":
             raise FormatError(
                 f"{path} row {row}: expected kind DNN, got {rec.vector.kind}"
-            )
-        if len(rec.vector) != DNN_LENGTH:
-            raise DimensionError(
-                f"{path} row {row}: embedding has length {len(rec.vector)}, "
-                f"expected {DNN_LENGTH}"
             )
         if rec.keyframe_index is None:
             raise FormatError(f"{path} row {row}: embedding record lacks a keyframe index")
@@ -72,4 +49,4 @@ def load_embeddings(
             if extra:
                 parts.append(f"unexpected keyframes {extra}")
             raise CoverageError(f"{path}: {'; '.join(parts)}")
-    return EmbeddingTable(entries=entries)
+    return entries

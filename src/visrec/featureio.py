@@ -9,7 +9,8 @@ Two interchangeable formats carry feature records:
   ``kind``, with the columns ``movie_id``, ``keyframe_index`` (-1 marks a
   movie-level record) and ``values`` (one row per record).
 
-A file holds records of exactly one kind.
+A file holds records of exactly one kind. ``read_csv_table`` reads the
+other headed CSV inputs (the MovieLens ratings, movies and tags files).
 """
 
 from __future__ import annotations
@@ -114,7 +115,31 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
         with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: neither a visrec binary file nor text CSV ({exc})") from None
+        raise FormatError(f"{path}: not UTF-8 CSV text ({exc})") from None
+
+
+def read_csv_table(path: str | Path, columns: tuple[str, ...],
+                   parse: Callable[[dict[str, str]], object]) -> list:
+    """``parse`` of each nonblank data row of a CSV file with a header, given
+    as a dict from column name to field. A header without one of ``columns``,
+    a row too short to hold them, and a field ``parse`` refuses with a
+    ValueError are FormatErrors naming the file and the column or line."""
+    rows = _read_csv_rows(path)
+    header = rows[0] if rows else []
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise FormatError(f"{path}: header lacks the column(s) {', '.join(missing)}")
+    width = 1 + max(header.index(c) for c in columns)
+    out = []
+    with _located(lambda: f"{path} line {lineno}"):
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) < width:
+                raise FormatError(f"{path} line {lineno}: {len(row)} field(s), "
+                                  f"the header needs {width}")
+            out.append(parse(dict(zip(header, row))))
+    return out
 
 
 def write_feature_csv(path: str | Path, records: list[FeatureRecord]) -> None:

@@ -2,7 +2,8 @@
 
 The fitted model projects each view onto its canonical directions; the fused
 descriptor is the concatenation of the two projections (length 2k), which
-keeps both views rather than collapsing them.
+keeps both views rather than collapsing them. ``fuse_matrix`` is the one
+implementation of the projection; ``fuse`` applies it to a single item.
 """
 
 from __future__ import annotations
@@ -130,13 +131,11 @@ def fuse(model: CcaModel, x: np.ndarray, y: np.ndarray) -> FeatureVector:
         raise DimensionError(f"x has shape {x.shape}, model expects ({model.d1},)")
     if y.shape != (model.d2,):
         raise DimensionError(f"y has shape {y.shape}, model expects ({model.d2},)")
-    px = model.wx.T @ (x - model.mean_x)
-    py = model.wy.T @ (y - model.mean_y)
-    return FeatureVector("FUSED", np.concatenate([px, py]))
+    return FeatureVector("FUSED", fuse_matrix(model, x[None], y[None])[0])
 
 
 def fuse_matrix(model: CcaModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise fuse() over aligned matrices."""
+    """Project aligned item rows of both views; one fused row (length 2k) per item."""
     if X.shape[1] != model.d1 or Y.shape[1] != model.d2:
         raise DimensionError("matrix widths do not match the model")
     if X.shape[0] != Y.shape[0]:

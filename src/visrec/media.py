@@ -2,6 +2,12 @@
 
 All YCbCr math is BT.601 full range (the MPEG-7-era convention): Y, Cb, Cr
 each span the full 0..255 interval, no studio-swing headroom.
+
+Each color rule has one vectorized implementation over ``(..., 3)`` RGB
+arrays: ``rgb_to_ycbcr_planes`` (whose Y is ``_luma``, the one place the
+BT.601 weights are applied) and ``rgb_image_to_hsv`` (the hexcone). The
+scalar ``rgb_to_ycbcr`` and ``rgb_to_hsv``, ``luma``, ``write_y4m`` and the
+descriptors all call them.
 """
 
 from __future__ import annotations
@@ -69,13 +75,24 @@ class FrameStream:
 # Color conversions
 # ---------------------------------------------------------------------------
 
+def _luma(rgb: np.ndarray) -> np.ndarray:
+    """BT.601 Y of a float (..., 3) RGB array."""
+    return _KR * rgb[..., 0] + _KG * rgb[..., 1] + _KB * rgb[..., 2]
+
+
+def rgb_to_ycbcr_planes(pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BT.601 full-range (Y, Cb, Cr) planes of a (..., 3) RGB array,
+    real-valued (no rounding)."""
+    rgb = np.asarray(pixels, dtype=np.float64)
+    y = _luma(rgb)
+    cb = 128.0 + 0.5 / (1.0 - _KB) * (rgb[..., 2] - y)
+    cr = 128.0 + 0.5 / (1.0 - _KR) * (rgb[..., 0] - y)
+    return y, cb, cr
+
+
 def rgb_to_ycbcr(pixel) -> tuple[float, float, float]:
     """BT.601 full-range YCbCr of one RGB triple, real-valued (no rounding)."""
-    r, g, b = (float(c) for c in pixel)
-    y = _KR * r + _KG * g + _KB * b
-    cb = 128.0 + 0.5 / (1.0 - _KB) * (b - y)
-    cr = 128.0 + 0.5 / (1.0 - _KR) * (r - y)
-    return y, cb, cr
+    return tuple(float(c) for c in rgb_to_ycbcr_planes(pixel))
 
 
 def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
@@ -91,24 +108,8 @@ def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.nda
 
 
 def rgb_to_hsv(pixel) -> tuple[float, float, float]:
-    """Hexcone HSV with H in [0, 360) and S, V in [0, 1]; achromatic H is 0."""
-    r, g, b = (float(c) / 255.0 for c in pixel)
-    mx = max(r, g, b)
-    mn = min(r, g, b)
-    d = mx - mn
-    v = mx
-    s = 0.0 if mx == 0.0 else d / mx
-    if d == 0.0:
-        h = 0.0
-    elif mx == r:
-        h = 60.0 * (((g - b) / d) % 6.0)
-    elif mx == g:
-        h = 60.0 * ((b - r) / d + 2.0)
-    else:
-        h = 60.0 * ((r - g) / d + 4.0)
-    if h >= 360.0:
-        h -= 360.0
-    return h, s, v
+    """Hexcone HSV (``rgb_image_to_hsv``) of one RGB triple."""
+    return tuple(float(c) for c in rgb_image_to_hsv(pixel))
 
 
 def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
@@ -132,9 +133,10 @@ def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
     return tuple(int(round((ch + m) * 255.0)) for ch in (r, g, b))
 
 
-def rgb_image_to_hsv(pixels: np.ndarray) -> np.ndarray:
-    """Vectorized hexcone HSV for a (h, w, 3) uint8 image."""
-    rgb = pixels.astype(np.float64) / 255.0
+def rgb_image_to_hsv(pixels) -> np.ndarray:
+    """Hexcone HSV of a (..., 3) array of 0..255 RGB values, stacked on the
+    last axis: H in [0, 360) and S, V in [0, 1]; achromatic H is 0."""
+    rgb = np.asarray(pixels, dtype=np.float64) / 255.0
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     mx = rgb.max(axis=-1)
     mn = rgb.min(axis=-1)
@@ -160,8 +162,7 @@ def rgb_image_to_hsv(pixels: np.ndarray) -> np.ndarray:
 
 def luma(frame: FrameBuffer) -> np.ndarray:
     """BT.601 Y plane of a frame as float64 in [0, 255]."""
-    px = frame.pixels.astype(np.float64)
-    return _KR * px[..., 0] + _KG * px[..., 1] + _KB * px[..., 2]
+    return _luma(frame.pixels.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +272,7 @@ def write_y4m(stream: FrameStream, chroma: str = "420") -> bytes:
     out = bytearray()
     out += f"YUV4MPEG2 W{w} H{h} F{fps.numerator}:{fps.denominator} Ip A1:1 C{tag}\n".encode()
     for frame in stream.frames:
-        px = frame.pixels.astype(np.float64)
-        y = _KR * px[..., 0] + _KG * px[..., 1] + _KB * px[..., 2]
-        cb = 128.0 + 0.5 / (1.0 - _KB) * (px[..., 2] - y)
-        cr = 128.0 + 0.5 / (1.0 - _KR) * (px[..., 0] - y)
+        y, cb, cr = rgb_to_ycbcr_planes(frame.pixels)
         if chroma == "420":
             cb = cb.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
             cr = cr.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))

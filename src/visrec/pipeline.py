@@ -17,7 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import UnionType
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -101,11 +101,11 @@ class PipelineConfig:
     cca_k: int | None = None
     cca_ridge: float | None = None
     lsa_rank: int = 100
-    alpha: float = 0.5
-    gamma: float = 1e-4
-    learning_rate: float = 0.05
-    epochs: int = 30
-    relevance_threshold: float = 4.0
+    alpha: float = TrainConfig.alpha
+    gamma: float = TrainConfig.gamma
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    relevance_threshold: float = TrainConfig.relevance_threshold
     folds: int = 5
     cutoffs: tuple[int, ...] = (1, 10, 20)
     families: tuple[str, ...] = ("mpeg7", "dnn", "fused", "genre", "tag-lsa")
@@ -495,31 +495,16 @@ def load_family_matrix(cfg: PipelineConfig, family: str):
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        alpha=cfg.alpha,
-        gamma=cfg.gamma,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        relevance_threshold=cfg.relevance_threshold,
-    )
+    """The TrainConfig of the config's fields of the same names."""
+    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
 def _train_key(cfg: PipelineConfig, args: StageArgs):
     inputs = _config_inputs(cfg, "ratings")
     inputs["features"] = _digest_file(_family_feature_path(cfg, args.family))
-    return (
-        inputs,
-        {
-            "family": args.family,
-            "alpha": cfg.alpha,
-            "gamma": cfg.gamma,
-            "learning_rate": cfg.learning_rate,
-            "epochs": cfg.epochs,
-            "relevance_threshold": cfg.relevance_threshold,
-        },
-        args.family,
-    )
+    hypers = asdict(_train_config(cfg))
+    del hypers["seed"]  # every cache key hashes the seed already
+    return inputs, {"family": args.family, **hypers}, args.family
 
 
 def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:

@@ -17,7 +17,6 @@ the same up to rounding. S is materialised once per epoch.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .errors import (
     MissingUserError,
     ParameterError,
 )
-from .featureio import read_arrays, write_arrays
+from .featureio import read_arrays, read_csv_table, write_arrays
 
 RATING_MIN, RATING_MAX = 0.5, 5.0
 DEFAULT_RELEVANCE_THRESHOLD = 4.0
@@ -141,18 +140,12 @@ class InteractionMatrix:
 
 def load_ratings_csv(path: str | Path, item_ids=None) -> InteractionMatrix:
     """MovieLens ratings.csv (userId,movieId,rating,timestamp)."""
-    entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries.append(
-                (
-                    int(row["userId"]),
-                    int(row["movieId"]),
-                    float(row["rating"]),
-                    int(row.get("timestamp") or 0),
-                )
-            )
+    entries = read_csv_table(path, ("userId", "movieId", "rating"), lambda row: (
+        int(row["userId"]),
+        int(row["movieId"]),
+        float(row["rating"]),
+        int(row.get("timestamp") or 0),
+    ))
     return InteractionMatrix(entries, item_ids=item_ids)
 
 

@@ -1,4 +1,8 @@
-"""Shot segmentation by thresholded histogram intersection, plus keyframe picking."""
+"""Shot segmentation by thresholded histogram intersection, plus keyframe picking.
+
+``frame_histogram`` is the one implementation of the normalized 16x4x4 HSV
+histogram; the SCD descriptor is that histogram of the keyframe.
+"""
 
 from __future__ import annotations
 
@@ -38,7 +42,8 @@ class Histogram:
 
 
 def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> np.ndarray:
-    """Quantize every pixel into the uniform HSV lattice; H-major cell ids."""
+    """Quantize every pixel into the uniform HSV lattice; H-major cell ids.
+    The hexcone is ``media.rgb_image_to_hsv``."""
     hb, sb, vb = bins
     hsv = rgb_image_to_hsv(frame.pixels)
     hi = np.minimum((hsv[..., 0] * (hb / 360.0)).astype(np.int32), hb - 1)

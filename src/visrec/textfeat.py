@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .errors import EmptyInputError, ParameterError, VocabularyError
+from .featureio import read_csv_table
 
 # The 19-label genre vocabulary of the rating corpus.
 GENRES = (
@@ -138,21 +138,14 @@ def fit_tag_lsa(tag_assignments: list[tuple[int, str, float]], k: int = 100) -> 
 
 def load_movies_csv(path: str | Path) -> list[tuple[int, str, list[str]]]:
     """movies.csv rows as (movieId, title, genre labels); pipes split genres."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            genres = [g for g in row["genres"].split("|") if g]
-            out.append((int(row["movieId"]), row["title"], genres))
-    return out
+    return read_csv_table(path, ("movieId", "title", "genres"), lambda row: (
+        int(row["movieId"]), row["title"], [g for g in row["genres"].split("|") if g]))
 
 
 def load_tags_csv(path: str | Path) -> list[tuple[int, str, float]]:
     """tags.csv rows collapsed to (movieId, tag, occurrence count)."""
     counts: dict[tuple[int, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (int(row["movieId"]), normalize_tag(row["tag"]))
-            counts[key] = counts.get(key, 0.0) + 1.0
+    for key in read_csv_table(path, ("movieId", "tag"),
+                              lambda row: (int(row["movieId"]), normalize_tag(row["tag"]))):
+        counts[key] = counts.get(key, 0.0) + 1.0
     return [(movie, tag, c) for (movie, tag), c in sorted(counts.items())]

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from visrec import pipeline
 from visrec.cli import main
-from visrec.errors import ConfigError, DependencyError, StaleCacheError
+from visrec.errors import ConfigError, DependencyError, FormatError, StaleCacheError
 from visrec.featureio import read_feature_file
 from visrec.minidata import generate
 from visrec.pipeline import PipelineConfig, run_stage
@@ -243,6 +243,18 @@ class TestCli:
         assert "error:" in result.output
         if text in WRONG_TYPE_CONFIGS:
             assert repr(WRONG_TYPE_CONFIGS[text]) in result.output
+
+    def test_malformed_tags_exit_with_format_code(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        tags = tmp_path / "tags.csv"
+        tags.write_text("userId,movieId,tag,timestamp\n3,abc,car chase,100\n")
+        cfg_data["tags"] = str(tags)
+        cfg_path.write_text(json.dumps(cfg_data))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "textfeat"])
+        assert result.exit_code == FormatError.exit_code
+        assert type(result.exception) is SystemExit
+        assert f"error: {tags} line 2" in result.output
 
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)

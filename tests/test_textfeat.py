@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from visrec.errors import VocabularyError
+from visrec.errors import FormatError, VocabularyError
+from visrec.recsys import load_ratings_csv
 from visrec.textfeat import (
     GENRES,
     build_genre_matrix,
@@ -151,3 +152,18 @@ class TestMovieLensLoaders:
             "3,2,paris,102\n"
         )
         assert load_tags_csv(tags) == [(1, "space", 2.0), (2, "paris", 1.0)]
+
+    @pytest.mark.parametrize("loader, name, text, where", [
+        (load_tags_csv, "tags.csv",
+         "userId,movieId,tag,timestamp\n1,1,space,100\n3,abc,car chase,101\n", "line 3"),
+        (load_ratings_csv, "ratings.csv",
+         "userId,movieId,rating,timestamp\n1,1,4.0,100\n1,2,x,101\n", "line 3"),
+        (load_ratings_csv, "ratings.csv", "userId,movieId,score\n1,1,4.0\n", "rating"),
+        (load_movies_csv, "movies.csv", "movieId,title\n1,Example One\n", "genres"),
+    ], ids=["tag-movie-id", "rating-value", "ratings-column", "movies-column"])
+    def test_malformed_file_names_file_and_place(self, tmp_path, loader, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            loader(path)
+        assert str(path) in str(err.value) and where in str(err.value)
