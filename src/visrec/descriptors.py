@@ -10,7 +10,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import SizeError
 from .featureio import FeatureVector
@@ -77,6 +76,35 @@ _ZIGZAG = np.array([
 
 _CLD_COEFFS_PER_CHANNEL = 40
 
+# cos(pi (2m + 1)(2j + 1) / 2n) for m, j < n/2: the odd frequencies of an
+# n-point DCT-II, applied to x[j] - x[n-1-j]
+_DCT_ODD = {
+    n: np.cos(np.pi / (2 * n) * np.outer(2 * np.arange(n // 2) + 1, 2 * np.arange(n // 2) + 1))
+    for n in (2, 4, 8)
+}
+# orthonormal scaling of the 8-point transform
+_DCT8_SCALE = np.r_[np.sqrt(1 / 8), np.full(7, np.sqrt(2 / 8))]
+
+
+def _dct_ii(x: np.ndarray) -> np.ndarray:
+    """Unscaled DCT-II along the last axis (length 1, 2, 4 or 8), by even/odd
+    butterflies: the even frequencies are the half-length transform of
+    x[j] + x[n-1-j], the odd ones a cosine matrix times x[j] - x[n-1-j].
+
+    The butterflies give a symmetric or antisymmetric input, such as a flat
+    or two-tone grid row, exact zeros where scipy.fft.dctn gives exact
+    zeros. A single basis-matrix product leaves ~1e-13 there instead, which
+    training's column standardisation would scale up to unit variance.
+    """
+    n = x.shape[-1]
+    if n == 1:
+        return x
+    head, tail = x[..., : n // 2], x[..., ::-1][..., : n // 2]
+    out = np.empty_like(x)
+    out[..., 0::2] = _dct_ii(head + tail)
+    out[..., 1::2] = (head - tail) @ _DCT_ODD[n].T
+    return out
+
 
 def _grid_means(pixels: np.ndarray, grid: int) -> np.ndarray:
     """Channel-wise mean color of each cell in a grid x grid partition."""
@@ -98,11 +126,12 @@ def cld(frame: FrameBuffer) -> FeatureVector:
         rx = -(-8 // frame.width)
         px = px.repeat(ry, axis=0).repeat(rx, axis=1)
     rep = _grid_means(px.astype(np.float64), 8)
-    parts = []
-    for plane in rgb_to_ycbcr_planes(rep):
-        coeffs = scipy.fft.dctn(plane, norm="ortho").ravel()
-        parts.append(coeffs[_ZIGZAG][:_CLD_COEFFS_PER_CHANNEL])
-    return FeatureVector("CLD", np.concatenate(parts))
+    planes = np.stack(rgb_to_ycbcr_planes(rep))
+    # orthonormal 2-D DCT of each plane: rows, then columns
+    coeffs = _dct_ii(_dct_ii(planes).swapaxes(1, 2)).swapaxes(1, 2)
+    coeffs *= np.outer(_DCT8_SCALE, _DCT8_SCALE)
+    zigzagged = coeffs.reshape(3, 64)[:, _ZIGZAG[:_CLD_COEFFS_PER_CHANNEL]]
+    return FeatureVector("CLD", zigzagged.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Two interchangeable formats carry feature records:
   movie-level record) and ``values`` (one row per record).
 
 A file holds records of exactly one kind. ``read_csv_table`` reads the
-other headed CSV inputs (the MovieLens ratings, movies and tags files).
+other headed CSV inputs (the MovieLens ratings, movies and tags files), and
+``parse_int64`` reads every integer id and timestamp field of a CSV input,
+so a value the binary container cannot store is refused where it is read.
 """
 
 from __future__ import annotations
@@ -110,6 +112,17 @@ def _located(where: Callable[[], str]):
 # CSV format
 # ---------------------------------------------------------------------------
 
+_INT64 = range(-2**63, 2**63)
+
+
+def parse_int64(text: str) -> int:
+    """An integer field; a ValueError when it does not fit int64."""
+    value = int(text)
+    if value not in _INT64:
+        raise ValueError(f"{text!r} lies outside the int64 range")
+    return value
+
+
 def _read_csv_rows(path: str | Path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -175,8 +188,8 @@ def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
                 f"{path} line {lineno}: expected {length} values, got {len(row) - kind_col - 1}"
             )
         with _located(lambda: f"{path} line {lineno}"):
-            movie_id = int(row[0])
-            kf = int(row[1]) if keyed else None
+            movie_id = parse_int64(row[0])
+            kf = parse_int64(row[1]) if keyed else None
             vec = FeatureVector(row[kind_col], row[kind_col + 1 :])
         records.append(FeatureRecord(movie_id, kf, vec))
     return records
@@ -193,8 +206,13 @@ def write_arrays(path: str | Path, tag: str, attrs: dict, **arrays) -> None:
     """Write the container every binary artifact of the toolkit uses: an 8-byte
     magic, a little-endian u32 header length, a JSON header naming the tag,
     the scalar attrs and each array's name, dtype and shape, then the arrays'
-    bytes in header order, integer ones as ``<i8`` and all others ``<f8``."""
+    bytes in header order, integer ones as ``<i8`` and all others ``<f8``.
+    An array that is not numeric, such as integers too large for int64, is a
+    FormatError and nothing is written."""
     arrays = {k: np.asarray(a) for k, a in arrays.items()}
+    for name, a in arrays.items():
+        if a.dtype.kind not in "biuf":
+            raise FormatError(f"{path}: array {name!r} of dtype {a.dtype} is not numeric")
     arrays = {k: a.astype("<i8" if a.dtype.kind in "iu" else "<f8", copy=False)
               for k, a in arrays.items()}
     specs = [{"name": k, "dtype": a.dtype.str, "shape": list(a.shape)} for k, a in arrays.items()]
@@ -313,6 +331,6 @@ def read_keyframe_manifest(path: str | Path) -> list[tuple[int, int]]:
     for lineno, row in enumerate(rows[1:], start=2):
         if row:
             with _located(lambda: f"{path} line {lineno}"):
-                movie_id, kf = map(int, row)
+                movie_id, kf = map(parse_int64, row)
             entries.append((movie_id, kf))
     return entries

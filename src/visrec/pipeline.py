@@ -14,7 +14,6 @@ stops midway leaves no manifest to report it up to date.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
@@ -325,7 +324,9 @@ def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
         by_movie.setdefault(movie_id, []).append((kf, str(ppm)))
     work = sorted(by_movie.items())
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_extract_movie, work))
     else:
         results = [_extract_movie(item) for item in work]

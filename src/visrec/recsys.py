@@ -13,16 +13,19 @@ feature steps live in G times a k x n matrix, where G is the n x k feature
 matrix with k = min(n, d). One triple and its feature step then cost
 O(n k^2 + |rated| k), against O(n^2 d) on a dense S, and the iterates are
 the same up to rounding. S is materialised once per epoch.
+
+Serving needs numpy alone: the rating matrix is kept as plain numpy CSR
+arrays, and scipy is imported only by training (for ``expit``) and by
+``InteractionMatrix.matrix``, a scipy view built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import (
     AlignmentError,
@@ -32,7 +35,7 @@ from .errors import (
     MissingUserError,
     ParameterError,
 )
-from .featureio import read_arrays, read_csv_table, write_arrays
+from .featureio import parse_int64, read_arrays, read_csv_table, write_arrays
 
 RATING_MIN, RATING_MAX = 0.5, 5.0
 DEFAULT_RELEVANCE_THRESHOLD = 4.0
@@ -43,7 +46,10 @@ class InteractionMatrix:
 
     User and item id universes are fixed at construction; an explicit
     ``item_ids`` list lets cold items (features but no ratings) occupy
-    columns.
+    columns. The ratings are held as numpy CSR arrays: ``indptr`` (one
+    offset per user, plus one), ``indices`` (item columns, ascending within
+    each user) and ``data`` (rating values). ``matrix``, the same arrays as
+    a scipy CSR matrix, is built on first use.
     """
 
     def __init__(self, entries, item_ids=None, user_ids=None):
@@ -83,8 +89,20 @@ class InteractionMatrix:
         self.entry_items = i_idx
         self.entry_ratings = ratings
         self.entry_timestamps = stamps
-        self.matrix = sp.csr_matrix(
-            (ratings, (u_idx, i_idx)), shape=(len(users), len(items))
+        order = np.lexsort((i_idx, u_idx))
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(u_idx, minlength=len(users))))
+        )
+        self.indices = i_idx[order]
+        self.data = ratings[order]
+
+    @cached_property
+    def matrix(self):
+        """The ratings as a scipy ``csr_matrix`` over the same arrays."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.n_users, self.n_items)
         )
 
     @property
@@ -110,11 +128,8 @@ class InteractionMatrix:
 
     def user_ratings(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(item indices, rating values) of one user row, as copies."""
-        lo, hi = self.matrix.indptr[u], self.matrix.indptr[u + 1]
-        return (
-            self.matrix.indices[lo:hi].astype(np.int64),
-            self.matrix.data[lo:hi].copy(),
-        )
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        return self.indices[lo:hi].copy(), self.data[lo:hi].copy()
 
     def _entries(self, positions) -> list[tuple]:
         return [
@@ -141,10 +156,10 @@ class InteractionMatrix:
 def load_ratings_csv(path: str | Path, item_ids=None) -> InteractionMatrix:
     """MovieLens ratings.csv (userId,movieId,rating,timestamp)."""
     entries = read_csv_table(path, ("userId", "movieId", "rating"), lambda row: (
-        int(row["userId"]),
-        int(row["movieId"]),
+        parse_int64(row["userId"]),
+        parse_int64(row["movieId"]),
         float(row["rating"]),
-        int(row.get("timestamp") or 0),
+        parse_int64(row.get("timestamp") or "0"),
     ))
     return InteractionMatrix(entries, item_ids=item_ids)
 
@@ -201,6 +216,7 @@ class SimilarityModel:
     config: TrainConfig
     item_ids: tuple[int, ...]
     loss_history: tuple[float, ...] = field(default=())
+    item_id_array: np.ndarray = field(init=False, repr=False, compare=False)  # int64
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -211,6 +227,7 @@ class SimilarityModel:
         if np.abs(np.diag(m)).max(initial=0.0) != 0.0:
             raise ValueError("similarity matrix must have a zero diagonal")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "item_id_array", np.asarray(self.item_ids, dtype=np.int64))
 
 
 def standardize_columns(values: np.ndarray) -> np.ndarray:
@@ -269,6 +286,8 @@ def train_collective_slim(
     k = min(n, d) columns of G. ``L = B @ G`` follows B, so a feature step
     never touches an n x n array.
     """
+    from scipy.special import expit
+
     if R.n_entries == 0:
         raise ParameterError("cannot train on an empty interaction matrix")
     if F.item_ids != R.item_ids:
@@ -418,9 +437,9 @@ def recommend(model: SimilarityModel, R: InteractionMatrix, user_id, n: int) -> 
     mask = np.ones(R.n_items, dtype=bool)
     mask[rated] = False
     candidates = np.flatnonzero(mask)
-    ids = np.array([model.item_ids[c] for c in candidates])
+    ids = model.item_id_array[candidates]
     order = np.lexsort((ids, -scores[candidates]))
-    return [model.item_ids[candidates[o]] for o in order[:n]]
+    return ids[order[:n]].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Baseline feature families: binary genre vectors and LSA-reduced tags."""
+"""Baseline feature families: binary genre vectors and LSA-reduced tags.
+
+scipy is imported inside ``tfidf_matrix`` and ``fit_tag_lsa``, the only
+functions that use it, so importing this module costs numpy alone.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 from .errors import EmptyInputError, ParameterError, VocabularyError
-from .featureio import read_csv_table
+from .featureio import parse_int64, read_csv_table
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # The 19-label genre vocabulary of the rating corpus.
 GENRES = (
@@ -70,6 +76,8 @@ def tfidf_matrix(
 
     idf uses the smoothed form ln((1+n)/(1+df)) + 1 so no tag gets zeroed out.
     """
+    import scipy.sparse as sp
+
     if not tag_assignments:
         raise EmptyInputError("no tag assignments")
     counts: dict[tuple[str, int], float] = {}
@@ -105,6 +113,8 @@ def fit_tag_lsa(tag_assignments: list[tuple[int, str, float]], k: int = 100) -> 
 
     A k above the matrix rank is silently truncated and flagged on the model.
     """
+    from scipy.sparse.linalg import svds
+
     if k < 1:
         raise ParameterError(f"LSA rank must be >= 1, got {k}")
     matrix, vocab, items = tfidf_matrix(tag_assignments)
@@ -139,13 +149,13 @@ def fit_tag_lsa(tag_assignments: list[tuple[int, str, float]], k: int = 100) -> 
 def load_movies_csv(path: str | Path) -> list[tuple[int, str, list[str]]]:
     """movies.csv rows as (movieId, title, genre labels); pipes split genres."""
     return read_csv_table(path, ("movieId", "title", "genres"), lambda row: (
-        int(row["movieId"]), row["title"], [g for g in row["genres"].split("|") if g]))
+        parse_int64(row["movieId"]), row["title"], [g for g in row["genres"].split("|") if g]))
 
 
 def load_tags_csv(path: str | Path) -> list[tuple[int, str, float]]:
     """tags.csv rows collapsed to (movieId, tag, occurrence count)."""
     counts: dict[tuple[int, str], float] = {}
-    for key in read_csv_table(path, ("movieId", "tag"),
-                              lambda row: (int(row["movieId"]), normalize_tag(row["tag"]))):
+    for key in read_csv_table(path, ("movieId", "tag"), lambda row: (
+            parse_int64(row["movieId"]), normalize_tag(row["tag"]))):
         counts[key] = counts.get(key, 0.0) + 1.0
     return [(movie, tag, c) for (movie, tag), c in sorted(counts.items())]

@@ -109,11 +109,9 @@ class TestCld:
         np.testing.assert_allclose(v1[1:40], v2[1:40], atol=1e-9)
         np.testing.assert_allclose(v1[40:], v2[40:], atol=1e-9)
 
-    def test_matches_direct_dct_oracle(self):
-        rng = np.random.default_rng(11)
-        cells = rng.integers(0, 256, size=(8, 8, 3))
-        px = np.repeat(np.repeat(cells, 2, axis=0), 2, axis=1).astype(np.uint8)
-        frame = FrameBuffer(px)
+    @staticmethod
+    def oracle(cells):
+        """CLD of a frame whose 8x8 grid cells have the given RGB colours."""
         rep = cells.astype(np.float64)
         y = 0.299 * rep[..., 0] + 0.587 * rep[..., 1] + 0.114 * rep[..., 2]
         cb = 128.0 + 0.5 / (1 - 0.114) * (rep[..., 2] - y)
@@ -123,10 +121,33 @@ class TestCld:
             12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
             35, 42, 49, 56, 57, 50, 43, 36,
         ]
-        expected = np.concatenate(
+        return np.concatenate(
             [dct2_oracle(plane).ravel()[zigzag][:40] for plane in (y, cb, cr)]
         )
-        np.testing.assert_allclose(cld(frame).values, expected, atol=1e-9)
+
+    def test_matches_direct_dct_oracle(self):
+        rng = np.random.default_rng(11)
+        cells = rng.integers(0, 256, size=(8, 8, 3))
+        px = np.repeat(np.repeat(cells, 2, axis=0), 2, axis=1).astype(np.uint8)
+        frame = FrameBuffer(px)
+        np.testing.assert_allclose(cld(frame).values, self.oracle(cells), atol=1e-9)
+
+    @pytest.mark.parametrize("layout", ["solid", "left-right", "top-bottom", "quadrants"])
+    def test_flat_and_two_tone_grids_have_exact_zeros(self, layout):
+        # the coefficients such a grid cannot have must read exactly 0, not
+        # rounding noise, which standardised feature columns would amplify
+        colours = np.array([[200, 30, 60], [20, 90, 220], [250, 250, 10], [5, 5, 5]])
+        rows, cols = np.indices((8, 8)) // 4
+        tone = {"solid": 0 * rows, "left-right": cols, "top-bottom": rows,
+                "quadrants": 2 * rows + cols}[layout]
+        cells = colours[tone]
+        px = np.repeat(np.repeat(cells, 3, axis=0), 3, axis=1).astype(np.uint8)
+        expected = self.oracle(cells)
+        values = cld(FrameBuffer(px)).values
+        zero = np.abs(expected) < 1e-9
+        assert zero.sum() >= 60
+        np.testing.assert_array_equal(values[zero], 0.0)
+        np.testing.assert_allclose(values, expected, atol=1e-9)
 
     def test_nearest_neighbor_upscale_invariance(self, rng):
         frame = random_frame(rng, 16, 16)

@@ -81,7 +81,7 @@ class TestCsvFormat:
         with pytest.raises(KindMismatchError):
             write_feature_csv(tmp_path / "bad.csv", records)
 
-    @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD"])
+    @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD", "100000000000000000000,CLD"])
     def test_non_integer_movie_id_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         write_feature_csv(path, records_of("CLD", 120, [(1, None)]))
@@ -152,6 +152,12 @@ class TestBinaryFormat:
         with pytest.raises(DimensionError) as err:
             read_feature_bin(path)
         assert "record 0" in str(err.value)
+
+    def test_id_outside_int64_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "big.bin"
+        with pytest.raises(FormatError, match="'movie_id' of dtype object"):
+            write_feature_bin(path, records_of("CLD", 120, [(10**20, None)]))
+        assert not path.exists()
 
     def test_dispatch_by_content(self, tmp_path):
         records = records_of("CLD", 120, [(1, None)])

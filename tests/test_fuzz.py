@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from visrec.errors import ToolkitError
+from visrec.errors import FormatError, ToolkitError
 from visrec.featureio import read_feature_csv, read_keyframe_manifest
 from visrec.media import FrameStream, parse_ppm, parse_y4m, write_ppm, write_y4m
 from visrec.recsys import load_ratings_csv
@@ -66,10 +66,24 @@ PARSERS = {
 }
 
 
+# name -> a seed input with one integer field outside int64
+OUT_OF_INT64 = {
+    "load_ratings_csv": _RATINGS.replace(b",100\n", b",99999999999999999999\n"),
+    "load_movies_csv": _MOVIES.replace(b"\n10,", b"\n100000000000000000000,"),
+}
+
+
 @pytest.mark.parametrize("name", PARSERS)
 def test_seed_input_parses(name, tmp_path):
     seed, run = PARSERS[name]
     run(seed, tmp_path)
+
+
+@pytest.mark.parametrize("name", OUT_OF_INT64)
+def test_out_of_int64_seed_is_format_error(name, tmp_path):
+    assert OUT_OF_INT64[name] != PARSERS[name][0]
+    with pytest.raises(FormatError, match="line 2: .* outside the int64 range"):
+        PARSERS[name][1](OUT_OF_INT64[name], tmp_path)
 
 
 @pytest.mark.parametrize("name", PARSERS)

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import visrec
 from visrec import pipeline
 from visrec.cli import main
 from visrec.errors import ConfigError, DependencyError, FormatError, StaleCacheError
@@ -256,6 +261,27 @@ class TestCli:
         assert type(result.exception) is SystemExit
         assert f"error: {tags} line 2" in result.output
 
+    @pytest.mark.parametrize("key, text, setup, command", [
+        ("movies", "movieId,title,genres\n100000000000000000000,Big,Comedy\n",
+         [], ["textfeat"]),
+        ("ratings", "userId,movieId,rating,timestamp\n1,1,4.0,99999999999999999999\n",
+         [["textfeat"]], ["train", "--features", "genre"]),
+    ], ids=["movie-id", "timestamp"])
+    def test_out_of_int64_range_field_exits_with_format_code(
+            self, mini, tmp_path, key, text, setup, command):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        bad = tmp_path / f"{key}.csv"
+        bad.write_text(text)
+        cfg_data[key] = str(bad)
+        cfg_path.write_text(json.dumps(cfg_data))
+        for args in setup:
+            invoke(cfg_path, *args)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), *command])
+        assert result.exit_code == FormatError.exit_code
+        assert type(result.exception) is SystemExit
+        assert f"error: {bad} line 2" in result.output and "int64" in result.output
+
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
         invoke(cfg_path, "segment")
@@ -291,3 +317,39 @@ class TestCli:
         assert result.exit_code == 0
         assert (out / "config.json").exists()
         assert len(list((out / "videos").glob("*.y4m"))) == 8
+
+
+# Runs the CLI on its arguments, if any, in a fresh interpreter, then prints
+# the scipy modules that interpreter has loaded.
+_LIST_SCIPY = """
+import sys
+from visrec.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:], standalone_mode=False)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def fresh_cli_lines(*cli_args) -> list[str]:
+    src = str(Path(visrec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *cli_args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestColdPath:
+    """Serving loads numpy and click but no scipy module."""
+
+    def test_import_cli_loads_no_scipy(self):
+        assert fresh_cli_lines()[-1] == "[]"
+
+    def test_recommend_run_loads_no_scipy(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        invoke(cfg_path, "train", "--features", "genre", "--epochs", "1")
+        lines = fresh_cli_lines("--config", str(cfg_path), "recommend",
+                                "--features", "genre", "--user", "1", "-n", "3")
+        assert lines[0] == "rank,movie_id" and len(lines) == 6
+        assert lines[-1] == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from visrec.errors import (
     AlignmentError,
@@ -83,6 +84,52 @@ class TestInteractionMatrix:
         assert wide.item_ids == (5, 10, 20, 30, 40, 50)
         np.testing.assert_array_equal(wide.matrix.toarray()[:, 1:5], R.matrix.toarray())
         np.testing.assert_array_equal(wide.entry_timestamps, R.entry_timestamps)
+
+
+def random_interactions(seed: int) -> InteractionMatrix:
+    """Entries in shuffled order over universes wider than the entries."""
+    rng = np.random.default_rng(seed)
+    users = rng.choice(1000, size=12, replace=False).tolist()
+    items = rng.choice(1000, size=15, replace=False).tolist()
+    # users 10, 11 and items 12-14 get no ratings
+    cells = rng.choice(10 * 12, size=int(rng.integers(1, 60)), replace=False)
+    entries = [(users[c // 12], items[c % 12], float(rng.integers(1, 11)) / 2, int(c))
+               for c in cells]
+    return InteractionMatrix(entries, item_ids=items, user_ids=users)
+
+
+def assert_csr_matches_scipy(R: InteractionMatrix) -> None:
+    ref = sp.coo_matrix((R.entry_ratings, (R.entry_users, R.entry_items)),
+                        shape=(R.n_users, R.n_items)).tocsr()
+    np.testing.assert_array_equal(R.indptr, ref.indptr)
+    np.testing.assert_array_equal(R.indices, ref.indices)
+    np.testing.assert_array_equal(R.data, ref.data)
+    assert R.matrix.shape == ref.shape and (R.matrix != ref).nnz == 0
+
+
+class TestCsrArrays:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_scipy_coo_to_csr(self, seed):
+        R = random_interactions(seed)
+        assert_csr_matches_scipy(R)
+        assert (np.diff(R.indptr) == 0).any()  # users without ratings
+        assert len(set(R.indices.tolist())) < R.n_items  # empty item columns
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_restrict_and_with_items_match_scipy(self, seed):
+        R = random_interactions(seed)
+        rng = np.random.default_rng(seed)
+        keep = rng.choice(R.n_entries, size=R.n_entries // 2, replace=False)
+        assert_csr_matches_scipy(R.restrict(keep))
+        assert_csr_matches_scipy(R.restrict([]))
+        wider = rng.permutation(list(R.item_ids) + [5000, 5001]).tolist()
+        assert_csr_matches_scipy(R.with_items(wider))
+
+    def test_no_entries(self):
+        R = InteractionMatrix([], item_ids=[10, 20], user_ids=[1, 2, 3])
+        assert_csr_matches_scipy(R)
+        np.testing.assert_array_equal(R.indptr, [0, 0, 0, 0])
+        assert R.user_ratings(2)[0].size == 0
 
 
 class TestTrainCollectiveSlim:
@@ -266,6 +313,13 @@ class TestRecommend:
         model = SimilarityModel(matrix=np.zeros((5, 5)), config=TrainConfig(),
                                 item_ids=R.item_ids)
         assert recommend(model, R, 1, 2) == [10, 20]
+
+    def test_ties_break_by_item_id_in_any_column_order(self):
+        R = InteractionMatrix([(1, 30, 4.0, 0)], item_ids=[50, 40, 30, 20, 10])
+        model = SimilarityModel(matrix=np.zeros((5, 5)), config=TrainConfig(),
+                                item_ids=R.item_ids)
+        items = recommend(model, R, 1, 3)
+        assert items == [10, 20, 40] and all(type(m) is int for m in items)
 
     def test_pool_saturation(self):
         R = InteractionMatrix([(1, 30, 4.0, 0)], item_ids=[10, 20, 30])

@@ -160,7 +160,12 @@ class TestMovieLensLoaders:
          "userId,movieId,rating,timestamp\n1,1,4.0,100\n1,2,x,101\n", "line 3"),
         (load_ratings_csv, "ratings.csv", "userId,movieId,score\n1,1,4.0\n", "rating"),
         (load_movies_csv, "movies.csv", "movieId,title\n1,Example One\n", "genres"),
-    ], ids=["tag-movie-id", "rating-value", "ratings-column", "movies-column"])
+        (load_ratings_csv, "ratings.csv",
+         "userId,movieId,rating,timestamp\n1,1,4.0,99999999999999999999\n", "line 2"),
+        (load_movies_csv, "movies.csv",
+         "movieId,title,genres\n100000000000000000000,Big,Comedy\n", "line 2"),
+    ], ids=["tag-movie-id", "rating-value", "ratings-column", "movies-column",
+            "timestamp-int64", "movie-id-int64"])
     def test_malformed_file_names_file_and_place(self, tmp_path, loader, name, text, where):
         path = tmp_path / name
         path.write_text(text)
