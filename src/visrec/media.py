@@ -7,7 +7,11 @@ Each color rule has one vectorized implementation over ``(..., 3)`` RGB
 arrays: ``rgb_to_ycbcr_planes`` (whose Y is ``_luma``, the one place the
 BT.601 weights are applied) and ``rgb_image_to_hsv`` (the hexcone). The
 scalar ``rgb_to_ycbcr`` and ``rgb_to_hsv``, ``luma``, ``write_y4m`` and the
-descriptors all call them.
+descriptors all call them. The HSV cell ids of ``shots.hsv_cell_indices``
+are defined by this hexcone: that quantizer runs in integer arithmetic, but
+it builds its S and V tables with ``rgb_image_to_hsv`` and calls it for the
+pixels whose exact hue lies on a bin edge, so its ids equal the binned float
+hexcone's.
 """
 
 from __future__ import annotations

@@ -39,6 +39,8 @@ from .featureio import parse_int64, read_arrays, read_csv_table, write_arrays
 
 RATING_MIN, RATING_MAX = 0.5, 5.0
 DEFAULT_RELEVANCE_THRESHOLD = 4.0
+# standardize_columns: a column with std at most this times max|values| is constant
+CONSTANT_COLUMN_RTOL = 1e-12
 
 
 class InteractionMatrix:
@@ -231,10 +233,19 @@ class SimilarityModel:
 
 
 def standardize_columns(values: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance columns; constant columns become zero."""
+    """Zero-mean unit-variance columns; constant columns become zero.
+
+    A column counts as constant when its standard deviation is at most
+    ``CONSTANT_COLUMN_RTOL`` times the largest absolute entry of the whole
+    matrix, so rounding noise in a column that should be constant is zeroed
+    instead of scaled up to unit variance. The scale is the matrix's: a
+    column of pure noise has no scale of its own to compare against.
+    """
     centered = values - values.mean(axis=0)
     std = centered.std(axis=0)
-    std[std == 0] = 1.0
+    constant = std <= CONSTANT_COLUMN_RTOL * np.abs(values).max(initial=0.0)
+    centered[:, constant] = 0.0
+    std[constant] = 1.0
     return centered / std
 
 

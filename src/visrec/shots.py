@@ -2,11 +2,18 @@
 
 ``frame_histogram`` is the one implementation of the normalized 16x4x4 HSV
 histogram; the SCD descriptor is that histogram of the keyframe.
+``hsv_cell_indices`` is the one HSV quantizer, which the histogram and the
+CSD descriptor share. Its cell ids are those of the float hexcone
+``media.rgb_image_to_hsv`` binned uniformly, but it computes them in integer
+arithmetic on the 8-bit planes: S and V from a table built by the hexcone
+itself, the hue from its exact rational form, and the float hexcone only for
+the few pixels whose exact hue lies on a bin edge.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -41,15 +48,60 @@ class Histogram:
         return len(self.bins)
 
 
-def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> np.ndarray:
-    """Quantize every pixel into the uniform HSV lattice; H-major cell ids.
-    The hexcone is ``media.rgb_image_to_hsv``."""
-    hb, sb, vb = bins
-    hsv = rgb_image_to_hsv(frame.pixels)
-    hi = np.minimum((hsv[..., 0] * (hb / 360.0)).astype(np.int32), hb - 1)
+@functools.lru_cache(maxsize=None)
+def _sv_table(sb: int, vb: int) -> np.ndarray:
+    """The S and V part ``si * vb + vi`` of the cell id, indexed ``[mx, mn]``
+    by a pixel's largest and smallest channel (entries with mn > mx are unused).
+
+    The hexcone's V is ``mx / 255`` and its S depends on (mx, mn) alone, so
+    the table is ``rgb_image_to_hsv`` itself run over the triples
+    (mx, mn, mn) and binned as the float cell rule bins them. It is built on
+    first use, so importing the package builds none.
+    """
+    mx, mn = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    hsv = rgb_image_to_hsv(np.stack([mx, mn, mn], axis=-1))
     si = np.minimum((hsv[..., 1] * sb).astype(np.int32), sb - 1)
     vi = np.minimum((hsv[..., 2] * vb).astype(np.int32), vb - 1)
-    return hi * (sb * vb) + si * vb + vi
+    return (si * vb + vi).astype(np.min_scalar_type(sb * vb - 1))
+
+
+def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> np.ndarray:
+    """Quantize every pixel into the uniform HSV lattice; H-major int32 cell ids.
+
+    The ids are those of the float hexcone ``media.rgb_image_to_hsv`` binned
+    as ``min(int(h * (hb / 360)), hb - 1)``, and S and V likewise, but they
+    are computed in integers on the 8-bit planes. S and V come from
+    ``_sv_table``. With ``d = max - min``, the hue bin is the floor of the
+    exact rational ``hb * n / (6 * d)``, where ``n`` is the hexcone's sector
+    offset plus numerator: ``g - b`` (plus 6d when negative) where r is the
+    maximum, ``2d + b - r`` where g is, ``4d + r - g`` where b is; ties for
+    the maximum go to r, then g. Where that quotient is a positive integer
+    the exact hue lies on a bin edge and the float rounding decided the bin,
+    so those pixels alone take their hue bin from the float hexcone.
+    """
+    hb, sb, vb = bins
+    px = frame.pixels
+    # int16 holds every intermediate below 6 * 255; the product with hb is
+    # int32, exact while hb * 6 * 255 fits (up to 1,403,584 hue bins)
+    r, g, b = (px[..., c].astype(np.int16) for c in range(3))
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    d = mx - mn
+    use_r = mx == r
+    use_g = ~use_r & (mx == g)
+    use_b = ~(use_r | use_g)
+    # masks as 0/1 factors: a per-pixel np.where select runs several times slower
+    num = use_r * (g - b) + use_g * (b - r + 2 * d) + use_b * (r - g + 4 * d)
+    num += (num < 0) * (6 * d)  # the r sector's hue wraps modulo 360 degrees
+    # achromatic pixels have num == 0, so any positive divisor gives hue bin 0
+    hi, rem = np.divmod(hb * num.astype(np.int32), 6 * np.maximum(d, 1))
+    np.minimum(hi, hb - 1, out=hi)
+    tie = (rem == 0) & (num > 0)
+    if tie.any():
+        h = rgb_image_to_hsv(px[tie])[:, 0]
+        hi[tie] = np.minimum((h * (hb / 360.0)).astype(np.int32), hb - 1)
+    sv = _sv_table(sb, vb).ravel().take((mx.astype(np.int32) << 8) | mn)
+    return hi * (sb * vb) + sv
 
 
 def frame_histogram(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> Histogram:

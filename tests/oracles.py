@@ -2,9 +2,12 @@
 
 Nothing here shares code with the package implementations: the DCT oracle is
 the O(N^4) double loop, the CCA oracle a multiresolution angular grid sweep,
-HSV quantization a scalar re-derivation, and so on. The one exception is the
-collective SLIM oracle, which shares the trainer's input preparation and
-differs from it in how S is stored and updated.
+HSV quantization a scalar re-derivation, and so on. Two exceptions share
+code with the package. The collective SLIM oracle shares the trainer's input
+preparation and differs from it in how S is stored and updated. The HSV cell
+reference ``hsv_cells_float`` is the float whole-frame cell rule that
+``shots.hsv_cell_indices`` replaced with integer arithmetic: it bins the
+package's own hexcone ``media.rgb_image_to_hsv``, which defines the cell ids.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from visrec.errors import AlignmentError, DivergenceError, ParameterError
+from visrec.media import rgb_image_to_hsv
 from visrec.recsys import (
     FeatureMatrix,
     InteractionMatrix,
@@ -46,6 +50,17 @@ def hsv_bin_scalar(r, g, b, bins=(16, 4, 4)):
     hi = min(int(h / (360.0 / hb)), hb - 1)
     si = min(int(s * sb), sb - 1)
     vi = min(int(v * vb), vb - 1)
+    return hi * (sb * vb) + si * vb + vi
+
+
+def hsv_cells_float(pixels, bins=(16, 4, 4)):
+    """H-major cell ids of a (..., 3) RGB array by the float hexcone: the
+    reference that every id of ``shots.hsv_cell_indices`` must equal."""
+    hb, sb, vb = bins
+    hsv = rgb_image_to_hsv(pixels)
+    hi = np.minimum((hsv[..., 0] * (hb / 360.0)).astype(np.int32), hb - 1)
+    si = np.minimum((hsv[..., 1] * sb).astype(np.int32), sb - 1)
+    vi = np.minimum((hsv[..., 2] * vb).astype(np.int32), vb - 1)
     return hi * (sb * vb) + si * vb + vi
 
 

@@ -22,6 +22,7 @@ from visrec.recsys import (
     sample_negative,
     save_model,
     score,
+    standardize_columns,
     train_collective_slim,
 )
 
@@ -130,6 +131,26 @@ class TestCsrArrays:
         assert_csr_matches_scipy(R)
         np.testing.assert_array_equal(R.indptr, [0, 0, 0, 0])
         assert R.user_ratings(2)[0].size == 0
+
+
+class TestStandardizeColumns:
+    def test_unit_variance_and_zero_mean(self, rng):
+        G = standardize_columns(rng.normal(3.0, 2.0, size=(20, 4)))
+        np.testing.assert_allclose(G.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(G.std(axis=0), 1.0, rtol=1e-12)
+
+    def test_rounding_noise_columns_standardise_as_exact_zeros(self, rng):
+        exact = rng.normal(size=(30, 6))
+        exact[:, [1, 4]] = 0.0
+        noisy = exact.copy()
+        noisy[:, [1, 4]] = rng.choice([-1e-13, 1e-13], size=(30, 2))
+        expected = standardize_columns(exact)
+        assert (expected[:, [1, 4]] == 0.0).all()
+        np.testing.assert_array_equal(standardize_columns(noisy), expected)
+
+    def test_constant_column_becomes_zero(self):
+        values = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
+        assert (standardize_columns(values)[:, 0] == 0.0).all()
 
 
 class TestTrainCollectiveSlim:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import visrec
 from visrec.errors import DimensionError, EmptyInputError
 from visrec.media import FrameBuffer, FrameStream
 from visrec.shots import (
@@ -10,12 +16,13 @@ from visrec.shots import (
     detect_shots,
     frame_histogram,
     histogram_intersection,
+    hsv_cell_indices,
     shots_from_csv,
     shots_to_csv,
 )
 
 from conftest import solid_frame
-from oracles import histogram_oracle
+from oracles import histogram_oracle, hsv_cells_float
 
 
 def normalized_hist(values):
@@ -43,6 +50,57 @@ class TestFrameHistogram:
         frame = FrameBuffer(rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8))
         expected = histogram_oracle(frame)
         np.testing.assert_allclose(frame_histogram(frame).bins, expected, atol=1e-12)
+
+
+class TestHsvCellIndices:
+    """The integer quantizer against the float hexcone cell rule."""
+
+    def test_every_rgb_triple_matches_float_reference(self):
+        gb = np.stack(np.meshgrid(np.arange(256), np.arange(256), indexing="ij"), axis=-1)
+        px = np.empty((4, 256, 256, 3), dtype=np.uint8)
+        px[..., 1:] = gb
+        for r0 in range(0, 256, 4):
+            px[..., 0] = np.arange(r0, r0 + 4)[:, None, None]
+            chunk = px.reshape(4 * 256, 256, 3)
+            cells = hsv_cell_indices(FrameBuffer(chunk))
+            expected = hsv_cells_float(chunk)
+            assert cells.dtype == expected.dtype
+            mismatched = np.flatnonzero(cells != expected)
+            assert mismatched.size == 0, chunk.reshape(-1, 3)[mismatched[:5]]
+
+    @pytest.mark.parametrize(
+        "rgb, hue_bin",
+        [
+            ((30, 33, 42), 10),  # hue exactly 225 degrees, a bin edge
+            ((33, 47, 31), 5),  # hue exactly 112.5 degrees, a bin edge
+            ((255, 0, 0), 0),
+            ((0, 255, 0), 5),
+            ((0, 0, 255), 10),
+            ((255, 0, 1), 15),  # just below 360 degrees
+            ((128, 128, 128), 0),  # achromatic
+        ],
+    )
+    def test_pinned_hue_bins(self, rgb, hue_bin):
+        px = np.array([[rgb]], dtype=np.uint8)
+        cells = hsv_cell_indices(FrameBuffer(px))
+        assert cells[0, 0] // 16 == hue_bin
+        assert cells[0, 0] == hsv_cells_float(px)[0, 0]
+
+    @pytest.mark.parametrize("bins", [(64, 8, 8), (7, 3, 5), (1, 1, 1), (360, 2, 300)])
+    def test_other_lattices_match_float_reference(self, rng, bins):
+        px = rng.integers(0, 256, size=(96, 128, 3)).astype(np.uint8)
+        np.testing.assert_array_equal(
+            hsv_cell_indices(FrameBuffer(px), bins), hsv_cells_float(px, bins)
+        )
+
+    def test_importing_the_cli_builds_no_table(self):
+        src = str(Path(visrec.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import visrec.cli, visrec.shots; print(visrec.shots._sv_table.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestHistogramIntersection:
