@@ -147,7 +147,7 @@ def run_all(ctx):
 
 @main.command("make-mini-dataset")
 @click.option("--out", type=click.Path(path_type=Path), required=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 def make_mini_dataset(out, seed):
     """Generate the bundled synthetic mini-corpus."""
     from .minidata import generate

@@ -55,6 +55,8 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
     Users with fewer than 3 ratings contribute to training only. Deterministic
     given (seed, fold).
     """
+    if folds < 1:
+        raise ParameterError(f"folds must be >= 1, got {folds}")
     if R.n_entries == 0:
         raise EmptyInputError("cannot split an empty interaction matrix")
     by_user: list[list[int]] = [[] for _ in range(R.n_users)]

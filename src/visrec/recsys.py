@@ -9,10 +9,12 @@ never recommends itself.
 
 Training never forms S inside its loop. Both updates are linear in S, so S
 is kept factored: a scaled n x n part takes the ranking writes, and the
-feature steps live in G times a k x n matrix, where G is the n x k feature
-matrix with k = min(n, d). One triple and its feature step then cost
-O(n k^2 + |rated| k), against O(n^2 d) on a dense S, and the iterates are
-the same up to rounding. S is materialised once per epoch.
+feature steps live in G times a k x n matrix. The feature term sees the
+features only through their item Gram, so G is the thin factor U * Sigma of
+the standardized n x d features, with k = min(n, d), whose own Gram is the
+diagonal Sigma^2. One triple and its feature step then cost
+O(n k + |rated| k), against O(n^2 d) on a dense S, and the iterates are the
+same up to rounding. S is materialised once per epoch.
 
 Serving needs numpy alone: the rating matrix is kept as plain numpy CSR
 arrays, and scipy is imported only by training (for ``expit``) and by
@@ -210,6 +212,8 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -257,26 +261,6 @@ def sample_negative(rng: np.random.Generator, rated: set[int], n_items: int) -> 
             return j
 
 
-def _spectral_norm(G: np.ndarray, iters: int = 60) -> float:
-    """Largest eigenvalue of G @ G.T by power iteration.
-
-    The start vector is pseudo-random from a fixed seed: deterministic, and
-    never exactly orthogonal to the dominant eigenspace the way a structured
-    start (all-ones) can be on block-patterned features.
-    """
-    v = np.random.default_rng(1905).standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ (G.T @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        lam = v @ w
-        v = w / norm
-    return float(max(lam, 0.0))
-
-
 def train_collective_slim(
     R: InteractionMatrix, F: FeatureMatrix, cfg: TrainConfig
 ) -> SimilarityModel:
@@ -290,12 +274,17 @@ def train_collective_slim(
     any ``learning_rate * (1 - alpha) <= 0.5`` and keeps the two pulls in
     balance, so the ranking updates cannot outrun the reconstruction term.
 
+    The feature term depends on the standardized features only through
+    their item Gram, so training uses their thin factor ``G = U * sigma``
+    (n x k, k = min(n, d)) from one thin SVD. Its k x k Gram is the diagonal
+    ``sigma**2``, and the spectral norm is exactly ``sigma[0]**2``.
+
     S is not stored inside the loop. Every update is linear in S, so it is
     kept as ``S = s * B.T + G @ Z.T`` with the diagonal read as zero: ``B``
     (n x n, row t holds column t of S) takes the ranking writes divided by
-    the running decay ``s``, and ``Z`` (n x k) the feature steps, in the
-    k = min(n, d) columns of G. ``L = B @ G`` follows B, so a feature step
-    never touches an n x n array.
+    the running decay ``s``, and ``Z`` (n x k) the feature steps. ``L = B @ G``
+    follows B, so a feature step never touches an n x n array and costs
+    O(n k); a triple adds O(|rated| k).
     """
     from scipy.special import expit
 
@@ -326,9 +315,13 @@ def train_collective_slim(
         if r >= cfg.relevance_threshold
     ]
 
-    lam_f = _spectral_norm(G) if cfg.alpha < 1.0 else 0.0
-    use_features = cfg.alpha < 1.0 and lam_f > 0.0
     lr, alpha, gamma = cfg.learning_rate, cfg.alpha, cfg.gamma
+    sigma2 = np.zeros(0)
+    if alpha < 1.0:  # same item Gram; the k x k Gram is diag(sigma2)
+        U, sigma, _ = np.linalg.svd(G, full_matrices=False)
+        G, sigma2 = U * sigma, sigma**2
+    lam_f = float(sigma2.max(initial=0.0))
+    use_features = lam_f > 0.0
     run_bpr = alpha > 0.0 and bool(pairs)
     # without ranking triples to pace them, run enough feature steps per
     # epoch to keep plain gradient descent moving at any learning rate
@@ -338,12 +331,6 @@ def train_collective_slim(
         feature_steps = 0
     decay = 1.0 - lr * gamma
     if use_features:
-        if G.shape[1] > n:
-            # the feature term sees G only through G @ G.T, which the thin
-            # factor U * sigma (n x n) reproduces
-            U, sigma, _ = np.linalg.svd(G, full_matrices=False)
-            G = U * sigma
-        H = G.T @ G
         gain = lr * 2.0 * (1.0 - alpha) / lam_f
 
     B = np.zeros((n, n))
@@ -354,11 +341,11 @@ def train_collective_slim(
     sse_acc = [0.0, 0]
 
     def feature_step():
-        # resid = G - S.T @ G = G - (s L + Z H - m G): B never takes a
-        # diagonal write, so m = rowdot(Z, G) is the whole diagonal of
+        # resid = G - S.T @ G = G - (s L + Z sigma^2 - m G): B never takes
+        # a diagonal write, so m = rowdot(Z, G) is the whole diagonal of
         # s B.T + G Z.T, which the zero clamp removes
         nonlocal s, B, L, Z, resid
-        np.matmul(Z, H, out=resid)
+        np.multiply(Z, sigma2, out=resid)
         resid += s * L
         resid -= np.einsum("ij,ij->i", Z, G)[:, None] * G
         np.subtract(G, resid, out=resid)
@@ -417,11 +404,8 @@ def train_collective_slim(
             )
         # monitor: every component averaged over the epoch's steps
         total = alpha * (bpr_loss / len(pairs) if pairs else 0.0)
-        if alpha < 1.0:
-            if sse_acc[1]:
-                total += (1.0 - alpha) * sse_acc[0] / sse_acc[1]
-            else:
-                total += (1.0 - alpha) * float(((G.T - G.T @ S) ** 2).sum())
+        if sse_acc[1]:  # no feature step ran only if G is zero: its SSE is 0
+            total += (1.0 - alpha) * sse_acc[0] / sse_acc[1]
         total += gamma * float((S ** 2).sum())
         history.append(total)
     return SimilarityModel(

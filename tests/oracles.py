@@ -4,7 +4,10 @@ Nothing here shares code with the package implementations: the DCT oracle is
 the O(N^4) double loop, the CCA oracle a multiresolution angular grid sweep,
 HSV quantization a scalar re-derivation, and so on. Two exceptions share
 code with the package. The collective SLIM oracle shares the trainer's input
-preparation and differs from it in how S is stored and updated. The HSV cell
+preparation (column standardization and the negative sampler) and differs
+from it in how S is stored and updated: it trains on the standardized
+features themselves, not their thin factor, and takes the largest eigenvalue
+of their Gram from a dense ``eigvalsh``. The HSV cell
 reference ``hsv_cells_float`` is the float whole-frame cell rule that
 ``shots.hsv_cell_indices`` replaced with integer arithmetic: it bins the
 package's own hexcone ``media.rgb_image_to_hsv``, which defines the cell ids.
@@ -22,7 +25,6 @@ from visrec.recsys import (
     InteractionMatrix,
     SimilarityModel,
     TrainConfig,
-    _spectral_norm,
     sample_negative,
     standardize_columns,
 )
@@ -365,7 +367,7 @@ def collective_slim_oracle(
         if r >= cfg.relevance_threshold
     ]
 
-    lam_f = _spectral_norm(G) if cfg.alpha < 1.0 else 0.0
+    lam_f = float(np.linalg.eigvalsh(G @ G.T)[-1]) if cfg.alpha < 1.0 else 0.0
     use_features = cfg.alpha < 1.0 and lam_f > 0.0
     lr, alpha, gamma = cfg.learning_rate, cfg.alpha, cfg.gamma
     run_bpr = alpha > 0.0 and bool(pairs)

@@ -71,6 +71,11 @@ class TestMakeSplits:
         user1_entries = [i for i in range(R.n_entries) if R.entry_users[i] == 0]
         assert all(i in split.train_idx for i in user1_entries)
 
+    @pytest.mark.parametrize("folds", [0, -2])
+    def test_folds_below_one_rejected(self, folds):
+        with pytest.raises(ParameterError, match="folds"):
+            make_splits(uniform_R(n_users=5, n_ratings=10), folds=folds, seed=0)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             make_splits(InteractionMatrix([], item_ids=[1], user_ids=[1]), folds=1, seed=0)

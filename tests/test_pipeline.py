@@ -11,7 +11,13 @@ from click.testing import CliRunner
 import visrec
 from visrec import pipeline
 from visrec.cli import main
-from visrec.errors import ConfigError, DependencyError, FormatError, StaleCacheError
+from visrec.errors import (
+    ConfigError,
+    DependencyError,
+    FormatError,
+    ParameterError,
+    StaleCacheError,
+)
 from visrec.featureio import read_feature_file
 from visrec.minidata import generate
 from visrec.pipeline import PipelineConfig, run_stage
@@ -282,6 +288,38 @@ class TestCli:
         assert type(result.exception) is SystemExit
         assert f"error: {bad} line 2" in result.output and "int64" in result.output
 
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_folds_below_one_exit_with_parameter_code(self, mini, tmp_path, folds):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "folds": folds}))
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "evaluate",
+                                           "--features", "genre"])
+        assert result.exit_code == ParameterError.exit_code
+        assert type(result.exception) is SystemExit
+        assert "error: folds must be >= 1" in result.output
+        stage_dir = tmp_path / "cache" / "evaluate"
+        assert not (stage_dir / "report_genre.csv").exists()
+        assert not (stage_dir / "manifest_genre.json").exists()
+
+    @pytest.mark.parametrize("config_seed, flags, command", [
+        (-1, [], ["train", "--features", "genre"]),
+        (-1, [], ["evaluate", "--features", "genre"]),
+        (7, ["--seed", "-3"], ["train", "--features", "genre"]),
+    ], ids=["config-train", "config-evaluate", "flag-train"])
+    def test_negative_seed_exits_with_parameter_code(
+            self, mini, tmp_path, config_seed, flags, command):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "seed": config_seed}))
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), *flags, *command])
+        assert result.exit_code == ParameterError.exit_code
+        assert type(result.exception) is SystemExit
+        assert "error: seed must be nonnegative" in result.output
+        assert not list((tmp_path / "cache").glob(f"{command[0]}/manifest_*.json"))
+
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
         invoke(cfg_path, "segment")
@@ -317,6 +355,15 @@ class TestCli:
         assert result.exit_code == 0
         assert (out / "config.json").exists()
         assert len(list((out / "videos").glob("*.y4m"))) == 8
+
+    def test_mini_dataset_rejects_negative_seed(self, tmp_path):
+        out = tmp_path / "gen"
+        result = CliRunner().invoke(main, ["make-mini-dataset", "--out", str(out),
+                                           "--seed", "-1"])
+        assert result.exit_code == 2
+        assert type(result.exception) is SystemExit
+        assert "--seed" in result.output
+        assert not out.exists()
 
 
 # Runs the CLI on its arguments, if any, in a fresh interpreter, then prints

@@ -153,6 +153,12 @@ class TestStandardizeColumns:
         assert (standardize_columns(values)[:, 0] == 0.0).all()
 
 
+class TestTrainConfig:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            TrainConfig(seed=-1)
+
+
 class TestTrainCollectiveSlim:
     def test_alpha_one_ignores_features(self):
         R, _, _ = two_block_dataset(seed=3)
@@ -246,7 +252,7 @@ class TestTrainCollectiveSlim:
     @pytest.mark.parametrize("d", [4, 30])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_matches_dense_oracle(self, alpha, d, lr_gamma):
-        # d = 30 > 12 items runs on the thin factor of G; lr * gamma = 0.5
+        # d = 30 > 12 items makes the thin factor narrower than G; lr * gamma = 0.5
         # folds the decay every 100 steps and lr * gamma = 1 zeroes it
         R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
         F = flat_features(R, d=d, seed=3)
@@ -257,6 +263,22 @@ class TestTrainCollectiveSlim:
         np.testing.assert_allclose(model.matrix, ref.matrix, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.loss_history, ref.loss_history, rtol=1e-9)
         assert np.abs(np.diag(model.matrix)).max() == 0.0
+
+    def test_zero_feature_matrix_trains_without_features(self):
+        # a zero-width matrix and all-constant columns both standardize to a
+        # zero G, whose thin factor has no positive singular value
+        R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
+        cfg = TrainConfig(alpha=0.5, epochs=3, seed=4)
+        models = [
+            train_collective_slim(R, FeatureMatrix(family="FUSED", item_ids=R.item_ids,
+                                                   values=values), cfg)
+            for values in (np.zeros((R.n_items, 0)), np.full((R.n_items, 5), 2.5))
+        ]
+        for model in models:
+            assert np.isfinite(model.matrix).all()
+            assert np.abs(np.diag(model.matrix)).max() == 0.0
+        np.testing.assert_array_equal(models[0].matrix, models[1].matrix)
+        assert models[0].loss_history == models[1].loss_history
 
     def test_misaligned_features_rejected(self):
         R = tiny_R()
