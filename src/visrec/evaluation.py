@@ -59,15 +59,13 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
         raise ParameterError(f"folds must be >= 1, got {folds}")
     if R.n_entries == 0:
         raise EmptyInputError("cannot split an empty interaction matrix")
-    by_user: list[list[int]] = [[] for _ in range(R.n_users)]
-    for pos, u in enumerate(R.entry_users):
-        by_user[u].append(pos)
+    # each user's entry positions in ascending order, as the rng draws expect
+    by_user = np.split(np.argsort(R.entry_users, kind="stable"), R.indptr[1:-1])
     splits = []
     for fold in range(folds):
         rng = np.random.default_rng([seed, fold])
         train, val, test = [], [], []
-        for u in range(R.n_users):
-            entries = np.asarray(by_user[u], dtype=np.int64)
+        for entries in by_user:
             n = len(entries)
             if n < 3:
                 train.extend(entries)
@@ -90,29 +88,33 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
     return splits
 
 
-def rank_one_plus_unrated(
-    model: SimilarityModel,
-    R_train: InteractionMatrix,
-    user_id,
-    test_item_id,
-    scores: np.ndarray | None = None,
-) -> int:
-    """1-based rank of the held-out item among everything the user has not
-    rated in training. Ties count against the test item."""
-    u = R_train.user_index(user_id)
-    rated, _ = R_train.user_ratings(u)
+def _user_scores(model: SimilarityModel, R_train: InteractionMatrix, user_id):
+    """(scores over every item, rated item positions) of one training user."""
+    rated, _ = R_train.user_ratings(R_train.user_index(user_id))
     if len(rated) == 0:
         raise MissingUserError(f"user {user_id} has no training ratings")
-    t = R_train.item_index(test_item_id)
+    return score(model, R_train, user_id), rated
+
+
+def _rank_unrated(R_train: InteractionMatrix, user_id, item_id, scores, rated) -> int:
+    """1-based rank of the item among the items outside ``rated``. Ties count
+    against the item."""
+    t = R_train.item_index(item_id)
     if t in rated:
-        raise ParameterError(f"item {test_item_id} is already rated by user {user_id}")
-    if scores is None:
-        scores = score(model, R_train, user_id)
+        raise ParameterError(f"item {item_id} is already rated by user {user_id}")
     mask = np.ones(R_train.n_items, dtype=bool)
     mask[rated] = False
     mask[t] = False
-    others = scores[mask]
-    return int(1 + (others >= scores[t]).sum())
+    return int(1 + (scores[mask] >= scores[t]).sum())
+
+
+def rank_one_plus_unrated(
+    model: SimilarityModel, R_train: InteractionMatrix, user_id, test_item_id
+) -> int:
+    """1-based rank of the held-out item among everything the user has not
+    rated in training. Ties count against the test item."""
+    scores, rated = _user_scores(model, R_train, user_id)
+    return _rank_unrated(R_train, user_id, test_item_id, scores, rated)
 
 
 @dataclass(frozen=True)
@@ -172,32 +174,21 @@ def collect_observations(
     """
     observations: list[RankObservation] = []
     skipped = 0
-    score_cache: dict[int, np.ndarray] = {}
-    rated_cache: dict[int, int] = {}
+    scored: dict = {}  # user id -> (scores, rated positions), one scoring per user
     for user_id, item_id, rating in test_entries:
         if rating < relevance_threshold:
             continue
         try:
-            u = R_train.user_index(user_id)
-            if u not in score_cache:
-                rated, _ = R_train.user_ratings(u)
-                if len(rated) == 0:
-                    raise MissingUserError(f"user {user_id} has no training ratings")
-                score_cache[u] = score(model, R_train, user_id)
-                rated_cache[u] = len(rated)
-            rank = rank_one_plus_unrated(
-                model, R_train, user_id, item_id, scores=score_cache[u]
-            )
+            if user_id not in scored:
+                scored[user_id] = _user_scores(model, R_train, user_id)
         except MissingUserError:
             skipped += 1
             continue
-        observations.append(
-            RankObservation(
-                user_id=user_id,
-                rank=rank,
-                n_candidates=R_train.n_items - rated_cache[u],
-            )
-        )
+        scores, rated = scored[user_id]
+        rank = _rank_unrated(R_train, user_id, item_id, scores, rated)
+        observations.append(RankObservation(
+            user_id=user_id, rank=rank, n_candidates=R_train.n_items - len(rated)
+        ))
     return observations, skipped
 
 

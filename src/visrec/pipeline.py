@@ -140,6 +140,11 @@ class PipelineConfig:
         for fam in cfg.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown feature family {fam!r}")
+        kinds = [kind.value for kind in AggregationKind]
+        for name in ("agg_mpeg7", "agg_dnn"):
+            value = getattr(cfg, name)
+            if value not in kinds:
+                raise ConfigError(f"{name} must be one of {kinds}, got {value!r}")
         if cfg.eval_on not in ("test", "validation"):
             raise ConfigError(f"eval_on must be 'test' or 'validation', got {cfg.eval_on!r}")
         return cfg
@@ -541,6 +546,8 @@ def run_evaluation(cfg: PipelineConfig, family: str) -> EvalReport:
 
 
 def _evaluate_key(cfg: PipelineConfig, args: StageArgs):
+    if not cfg.cutoffs or min(cfg.cutoffs) < 1:
+        raise ParameterError(f"cutoffs must be one or more values >= 1, got {list(cfg.cutoffs)}")
     inputs, params, variant = _train_key(cfg, args)
     params.update(folds=cfg.folds, cutoffs=list(cfg.cutoffs), eval_on=cfg.eval_on)
     return inputs, params, variant
@@ -595,10 +602,14 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     """Run one stage through the cache; returns its outputs, or [] if up to date.
 
     The old manifest is removed before the build and the new one written
-    after it, so a build that stops midway leaves no manifest behind.
+    after it, so a build that stops midway leaves no manifest behind. Every
+    cache key hashes the seed, so a negative seed is rejected here, before
+    any stage runs.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
+    if cfg.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {cfg.seed}")
     cfg.cache_dir = Path(cfg.cache_dir)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
     args = StageArgs(family=family, user=user, top_n=top_n, jobs=jobs)

@@ -17,14 +17,12 @@ O(n k + |rated| k), against O(n^2 d) on a dense S, and the iterates are the
 same up to rounding. S is materialised once per epoch.
 
 Serving needs numpy alone: the rating matrix is kept as plain numpy CSR
-arrays, and scipy is imported only by training (for ``expit``) and by
-``InteractionMatrix.matrix``, a scipy view built on first use.
+arrays, and scipy is imported only by training (for ``expit``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +50,7 @@ class InteractionMatrix:
     ``item_ids`` list lets cold items (features but no ratings) occupy
     columns. The ratings are held as numpy CSR arrays: ``indptr`` (one
     offset per user, plus one), ``indices`` (item columns, ascending within
-    each user) and ``data`` (rating values). ``matrix``, the same arrays as
-    a scipy CSR matrix, is built on first use.
+    each user) and ``data`` (rating values).
     """
 
     def __init__(self, entries, item_ids=None, user_ids=None):
@@ -89,25 +86,20 @@ class InteractionMatrix:
             ratings[pos] = rating
             if len(entry) > 3 and entry[3] is not None:
                 stamps[pos] = int(entry[3])
-        self.entry_users = u_idx
-        self.entry_items = i_idx
+        self._set_entries(u_idx, i_idx, ratings, stamps)
+
+    def _set_entries(self, users, items, ratings, stamps) -> None:
+        """Store valid entry arrays and build the CSR arrays from them."""
+        self.entry_users = users
+        self.entry_items = items
         self.entry_ratings = ratings
         self.entry_timestamps = stamps
-        order = np.lexsort((i_idx, u_idx))
+        order = np.lexsort((items, users))
         self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(u_idx, minlength=len(users))))
+            ([0], np.cumsum(np.bincount(users, minlength=self.n_users)))
         )
-        self.indices = i_idx[order]
+        self.indices = items[order]
         self.data = ratings[order]
-
-    @cached_property
-    def matrix(self):
-        """The ratings as a scipy ``csr_matrix`` over the same arrays."""
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n_users, self.n_items)
-        )
 
     @property
     def n_users(self) -> int:
@@ -135,26 +127,27 @@ class InteractionMatrix:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.indices[lo:hi].copy(), self.data[lo:hi].copy()
 
-    def _entries(self, positions) -> list[tuple]:
-        return [
-            (
-                self.user_ids[self.entry_users[i]],
-                self.item_ids[self.entry_items[i]],
-                self.entry_ratings[i],
-                self.entry_timestamps[i],
-            )
-            for i in positions
-        ]
-
     def restrict(self, entry_indices) -> "InteractionMatrix":
         """Same user/item universes, entries limited to the given positions."""
-        entries = self._entries(np.asarray(entry_indices, dtype=np.int64))
-        return InteractionMatrix(entries, item_ids=self.item_ids, user_ids=self.user_ids)
+        # canonical positions, so that -1 and n_entries - 1 count as one entry
+        pos = np.arange(self.n_entries)[np.asarray(entry_indices, dtype=np.int64)]
+        if np.unique(pos).size != pos.size:
+            raise DuplicateKeyError("restrict needs distinct entry positions")
+        sub = InteractionMatrix([], item_ids=self.item_ids, user_ids=self.user_ids)
+        sub._set_entries(self.entry_users[pos], self.entry_items[pos],
+                         self.entry_ratings[pos], self.entry_timestamps[pos])
+        return sub
 
     def with_items(self, item_ids) -> "InteractionMatrix":
         """Same entries and users over another item universe."""
-        entries = self._entries(range(self.n_entries))
-        return InteractionMatrix(entries, item_ids=item_ids, user_ids=self.user_ids)
+        wide = InteractionMatrix([], item_ids=item_ids, user_ids=self.user_ids)
+        remap = np.array([wide._item_index.get(m, -1) for m in self.item_ids], dtype=np.int64)
+        items = remap[self.entry_items]
+        if (items < 0).any():  # name the first entry, in entry order, whose item is missing
+            item = self.item_ids[self.entry_items[np.argmax(items < 0)]]
+            raise AlignmentError(f"item {item} outside the declared item universe")
+        wide._set_entries(self.entry_users, items, self.entry_ratings, self.entry_timestamps)
+        return wide
 
 
 def load_ratings_csv(path: str | Path, item_ids=None) -> InteractionMatrix:
@@ -297,14 +290,10 @@ def train_collective_slim(
     n = R.n_items
     G = standardize_columns(F.values)
 
-    rated_idx: list[np.ndarray] = []
-    rated_val: list[np.ndarray] = []
-    rated_set: list[set[int]] = []
-    for u in range(R.n_users):
-        idx, val = R.user_ratings(u)
-        rated_idx.append(idx)
-        rated_val.append(val)
-        rated_set.append(set(int(i) for i in idx))
+    # per-user views of the CSR arrays; training only reads them
+    rated_idx = np.split(R.indices, R.indptr[1:-1])
+    rated_val = np.split(R.data, R.indptr[1:-1])
+    rated_set = [set(idx.tolist()) for idx in rated_idx]
 
     # (user, positive item, position of the item in the user's rated row)
     pairs = [

@@ -321,6 +321,35 @@ def metrics_oracle(observations, cutoff):
     }
 
 
+# --- 80/10/10 splits: the per-user loop that ``evaluation.make_splits`` replaced
+
+def make_splits_oracle(R: InteractionMatrix, folds: int, seed: int) -> list[tuple]:
+    """(train, val, test) entry positions per fold, each user's positions
+    gathered in a Python loop over the entries and drawn with the same rng."""
+    by_user = [[] for _ in range(R.n_users)]
+    for pos, u in enumerate(R.entry_users):
+        by_user[u].append(pos)
+    out = []
+    for fold in range(folds):
+        rng = np.random.default_rng([seed, fold])
+        train, val, test = [], [], []
+        for u in range(R.n_users):
+            entries = np.asarray(by_user[u], dtype=np.int64)
+            n = len(entries)
+            if n < 3:
+                train.extend(entries)
+                continue
+            perm = entries[rng.permutation(n)]
+            n_val = max(1, int(0.1 * n + 0.5))
+            n_test = max(1, int(0.1 * n + 0.5))
+            val.extend(perm[:n_val])
+            test.extend(perm[n_val : n_val + n_test])
+            train.extend(perm[n_val + n_test :])
+        out.append(tuple(np.sort(np.asarray(part, dtype=np.int64))
+                         for part in (train, val, test)))
+    return out
+
+
 # --- collective SLIM: the dense trainer, one full O(n^2 d) feature step per
 # triple. It keeps S as a plain n x n array and applies every update to it
 # as written. It reuses the package's input preparation (column

@@ -134,8 +134,10 @@ def _pairwise_auc(R, S, held_out, tie_rng=None):
     aucs = []
     for user, item in held_out:
         u = R.user_index(user)
-        rated, _ = R.user_ratings(u)
-        scores = R.matrix.getrow(u).toarray().ravel() @ S
+        rated, values = R.user_ratings(u)
+        row = np.zeros(R.n_items)
+        row[rated] = values
+        scores = row @ S
         if tie_rng is not None:
             scores = scores + tie_rng.random(len(scores)) * 1e-9
         t = R.item_index(item)

@@ -12,7 +12,7 @@ from visrec.evaluation import (
 )
 from visrec.recsys import InteractionMatrix, SimilarityModel, TrainConfig
 
-from oracles import metrics_oracle
+from oracles import make_splits_oracle, metrics_oracle
 
 
 def uniform_R(n_users=100, n_ratings=20, seed=1):
@@ -79,6 +79,24 @@ class TestMakeSplits:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             make_splits(InteractionMatrix([], item_ids=[1], user_ids=[1]), folds=1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_user_loop_oracle(self, seed):
+        # users with 0, 1, 2 and 3+ ratings, entries in shuffled order
+        rng = np.random.default_rng(seed)
+        user_ids = rng.choice(1000, size=12, replace=False).tolist()
+        counts = [0, 1, 2, 3] + rng.integers(0, 25, size=8).tolist()
+        entries = [(user_ids[u], int(item), float(rng.integers(1, 11)) / 2, 0)
+                   for u, count in enumerate(counts)
+                   for item in rng.choice(40, size=count, replace=False)]
+        entries = [entries[i] for i in rng.permutation(len(entries))]
+        R = InteractionMatrix(entries, item_ids=range(40), user_ids=user_ids)
+        splits = make_splits(R, folds=4, seed=seed)
+        for split, (train, val, test) in zip(splits, make_splits_oracle(R, 4, seed)):
+            np.testing.assert_array_equal(split.train_idx, train)
+            np.testing.assert_array_equal(split.val_idx, val)
+            np.testing.assert_array_equal(split.test_idx, test)
+        assert len(splits) == 4
 
 
 def model_with_scores(item_ids, rows):

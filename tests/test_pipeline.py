@@ -312,13 +312,56 @@ class TestCli:
             self, mini, tmp_path, config_seed, flags, command):
         cfg_path = cli_config(mini, tmp_path)
         cfg_data = json.loads(cfg_path.read_text())
+        invoke(cfg_path, "textfeat")  # a negative seed would stop textfeat too
         cfg_path.write_text(json.dumps({**cfg_data, "seed": config_seed}))
-        invoke(cfg_path, "textfeat")
         result = CliRunner().invoke(main, ["--config", str(cfg_path), *flags, *command])
         assert result.exit_code == ParameterError.exit_code
         assert type(result.exception) is SystemExit
         assert "error: seed must be nonnegative" in result.output
         assert not list((tmp_path / "cache").glob(f"{command[0]}/manifest_*.json"))
+
+    @pytest.mark.parametrize("flags, command", [
+        ([], ["run-all"]),
+        (["--seed", "-1"], ["segment"]),
+    ], ids=["config-run-all", "flag-segment"])
+    def test_negative_seed_stops_before_any_stage(self, mini, tmp_path, flags, command):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        if not flags:
+            cfg_path.write_text(json.dumps({**cfg_data, "seed": -1}))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), *flags, *command])
+        assert result.exit_code == ParameterError.exit_code
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1
+        assert "error: seed must be nonnegative" in result.output
+        assert "wrote" not in result.output
+        assert not list((tmp_path / "cache").glob("**/manifest*.json"))
+
+    @pytest.mark.parametrize("key", ["agg_mpeg7", "agg_dnn"])
+    def test_unknown_aggregation_exits_with_config_code(self, mini, tmp_path, key):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, key: "bogus"}))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "run-all"])
+        assert result.exit_code == ConfigError.exit_code
+        assert type(result.exception) is SystemExit
+        assert f"error: {key} must be one of" in result.output and "'bogus'" in result.output
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("cutoffs", [[], [0], [10, 0]], ids=["empty", "zero", "ten-zero"])
+    def test_bad_cutoffs_exit_with_parameter_code(self, mini, tmp_path, cutoffs):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "cutoffs": cutoffs}))
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "evaluate",
+                                           "--features", "genre"])
+        assert result.exit_code == ParameterError.exit_code
+        assert type(result.exception) is SystemExit
+        assert "error: cutoffs must be" in result.output
+        stage_dir = tmp_path / "cache" / "evaluate"
+        assert not (stage_dir / "report_genre.csv").exists()
+        assert not (stage_dir / "manifest_genre.json").exists()
 
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)

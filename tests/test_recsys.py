@@ -39,6 +39,11 @@ def tiny_R():
     return InteractionMatrix(entries, item_ids=[10, 20, 30, 40])
 
 
+def csr(R):
+    """The CSR arrays of ``R`` as a scipy matrix."""
+    return sp.csr_matrix((R.data, R.indices, R.indptr), shape=(R.n_users, R.n_items))
+
+
 def flat_features(R, d=3, seed=0):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(family="FUSED", item_ids=R.item_ids,
@@ -57,7 +62,7 @@ class TestInteractionMatrix:
     def test_explicit_item_universe_allows_cold_columns(self):
         R = InteractionMatrix([(1, 10, 4.0, 0)], item_ids=[10, 20, 30])
         assert R.n_items == 3
-        assert R.matrix.shape == (1, 3)
+        assert csr(R).shape == (1, 3)
 
     def test_restrict_keeps_universe(self):
         R = tiny_R()
@@ -65,26 +70,36 @@ class TestInteractionMatrix:
         assert sub.item_ids == R.item_ids and sub.user_ids == R.user_ids
         assert sub.n_entries == 2
 
+    @pytest.mark.parametrize("positions", [[0, 0], [5, -1]])
+    def test_restrict_rejects_repeated_position(self, positions):
+        with pytest.raises(DuplicateKeyError):
+            tiny_R().restrict(positions)
+
     def test_user_ratings_match_rows_and_are_copies(self):
         R, _, _ = two_block_dataset(seed=3)
-        before = R.matrix.copy()
+        before = csr(R).copy()
         for u in range(R.n_users):
-            row = R.matrix.getrow(u)
+            row = csr(R).getrow(u)
             idx, val = R.user_ratings(u)
             np.testing.assert_array_equal(idx, row.indices)
             np.testing.assert_array_equal(val, row.data)
             assert idx.dtype == np.int64
             idx[:] = 0
             val[:] = 0.0
-        assert (R.matrix != before).nnz == 0
+        assert (csr(R) != before).nnz == 0
 
     def test_with_items_widens_universe(self):
         R = tiny_R()
         wide = R.with_items([5, 10, 20, 30, 40, 50])
         assert wide.user_ids == R.user_ids and wide.n_entries == R.n_entries
         assert wide.item_ids == (5, 10, 20, 30, 40, 50)
-        np.testing.assert_array_equal(wide.matrix.toarray()[:, 1:5], R.matrix.toarray())
+        np.testing.assert_array_equal(csr(wide).toarray()[:, 1:5], csr(R).toarray())
         np.testing.assert_array_equal(wide.entry_timestamps, R.entry_timestamps)
+
+    def test_with_items_names_first_missing_item(self):
+        # entries in order: items 10, 20, 20, 30, 10, 40; 30 and 40 are dropped
+        with pytest.raises(AlignmentError, match=r"^item 30 outside"):
+            tiny_R().with_items([10, 20])
 
 
 def random_interactions(seed: int) -> InteractionMatrix:
@@ -105,7 +120,7 @@ def assert_csr_matches_scipy(R: InteractionMatrix) -> None:
     np.testing.assert_array_equal(R.indptr, ref.indptr)
     np.testing.assert_array_equal(R.indices, ref.indices)
     np.testing.assert_array_equal(R.data, ref.data)
-    assert R.matrix.shape == ref.shape and (R.matrix != ref).nnz == 0
+    assert csr(R).shape == ref.shape and (csr(R) != ref).nnz == 0
 
 
 class TestCsrArrays:
