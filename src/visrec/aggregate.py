@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, KindMismatchError
+from .errors import DimensionError, EmptyInputError, FormatError, KindMismatchError
 from .featureio import FeatureVector
 
 
@@ -29,7 +29,8 @@ _REDUCERS = {
 def aggregate(vectors: list[FeatureVector], kind: AggregationKind) -> FeatureVector:
     """Elementwise min/mean/median/max across the keyframe vectors of one movie.
 
-    The even-count median is the midpoint of the two middle values.
+    The even-count median is the midpoint of the two middle values. Values
+    whose average or median overflows float64 raise FormatError.
     """
     if not vectors:
         raise EmptyInputError("cannot aggregate an empty vector list")
@@ -44,4 +45,8 @@ def aggregate(vectors: list[FeatureVector], kind: AggregationKind) -> FeatureVec
         if len(v) != length:
             raise DimensionError(f"vector {i} has length {len(v)}, expected {length}")
     stacked = np.stack([v.values for v in vectors])
-    return FeatureVector(feature_kind, _REDUCERS[kind](stacked))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _REDUCERS[kind](stacked)
+    if not np.isfinite(values).all():
+        raise FormatError(f"the {kind.value} of these {feature_kind} vectors overflows float64")
+    return FeatureVector(feature_kind, values)

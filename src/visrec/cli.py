@@ -13,7 +13,7 @@ import click
 
 from .aggregate import AggregationKind
 from .errors import ToolkitError
-from .pipeline import FAMILIES, PipelineConfig, run_stage
+from .pipeline import FAMILIES, PipelineConfig, recommend_items, run_stage
 
 
 class _ToolkitGroup(click.Group):
@@ -27,23 +27,29 @@ class _ToolkitGroup(click.Group):
             sys.exit(exc.exit_code)
 
 
-def _run(ctx, stages, family="mpeg7", overrides=None, **kwargs):
-    """Run ``stages`` in order for ``family``, or for every configured family
-    when ``family`` is None. ``overrides`` maps config fields to new values;
-    a None value keeps the config's."""
+def _config(ctx) -> PipelineConfig:
+    """The ``--config`` file's pipeline config, with ``--seed`` applied."""
     params = ctx.obj
     if params["config"] is None:
         raise click.UsageError("--config is required for pipeline stages")
     cfg = PipelineConfig.from_json(params["config"])
     if params["seed"] is not None:
         cfg.seed = params["seed"]
+    return cfg
+
+
+def _run(ctx, stages, family="mpeg7", overrides=None):
+    """Run ``stages`` in order for ``family``, or for every configured family
+    when ``family`` is None. ``overrides`` maps config fields to new values;
+    a None value keeps the config's."""
+    cfg = _config(ctx)
     for name, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, name, value)
     for fam in [family] if family else cfg.families:
         for stage in stages:
-            outputs = run_stage(stage, cfg, family=fam, force=params["force"],
-                                jobs=params["jobs"], **kwargs)
+            outputs = run_stage(stage, cfg, family=fam, force=ctx.obj["force"],
+                                jobs=ctx.obj["jobs"])
             label = stage if family else f"{stage} {fam}"
             if outputs:
                 click.echo(f"{label}: wrote {len(outputs)} artifact(s) under {cfg.cache_dir}")
@@ -133,8 +139,11 @@ def evaluate(ctx, features, **hypers):
 @click.option("-n", "--top-n", type=int, default=10, show_default=True)
 @click.pass_context
 def recommend(ctx, features, user, top_n):
-    """Print the trained model's top-N items for one user."""
-    _run(ctx, ["recommend"], features, user=user, top_n=top_n)
+    """Print the trained model's top-N items for one user as CSV; writes nothing."""
+    items = recommend_items(_config(ctx), features, user, top_n)
+    click.echo("rank,movie_id")
+    for rank, item in enumerate(items, 1):
+        click.echo(f"{rank},{item}")
 
 
 @main.command("run-all")

@@ -89,8 +89,10 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
 
 
 def _user_scores(model: SimilarityModel, R_train: InteractionMatrix, user_id):
-    """(scores over every item, rated item positions) of one training user."""
-    rated, _ = R_train.user_ratings(R_train.user_index(user_id))
+    """(scores over every item, rated item positions) of one training user;
+    the positions are a view of ``R_train.indices``."""
+    u = R_train.user_index(user_id)
+    rated = R_train.indices[R_train.indptr[u] : R_train.indptr[u + 1]]
     if len(rated) == 0:
         raise MissingUserError(f"user {user_id} has no training ratings")
     return score(model, R_train, user_id), rated
@@ -170,26 +172,29 @@ def collect_observations(
 ) -> tuple[list[RankObservation], int]:
     """Rank every relevant test entry; returns (observations, skipped count).
 
-    Users that cannot be ranked (no training ratings) are skipped, not fatal.
+    Observations come in entry order. Each user is scored once, all of the
+    user's entries are ranked, and the scores are dropped before the next
+    user, so memory holds one score vector at a time. Users that cannot be
+    ranked (no training ratings) are skipped, not fatal.
     """
-    observations: list[RankObservation] = []
+    relevant = [entry for entry in test_entries if entry[2] >= relevance_threshold]
+    by_user: dict = {}  # user id -> positions in ``relevant``
+    for pos, (user_id, _, _) in enumerate(relevant):
+        by_user.setdefault(user_id, []).append(pos)
+    ranked: list[RankObservation | None] = [None] * len(relevant)
     skipped = 0
-    scored: dict = {}  # user id -> (scores, rated positions), one scoring per user
-    for user_id, item_id, rating in test_entries:
-        if rating < relevance_threshold:
-            continue
+    for user_id, positions in by_user.items():
         try:
-            if user_id not in scored:
-                scored[user_id] = _user_scores(model, R_train, user_id)
+            scores, rated = _user_scores(model, R_train, user_id)
         except MissingUserError:
-            skipped += 1
+            skipped += len(positions)
             continue
-        scores, rated = scored[user_id]
-        rank = _rank_unrated(R_train, user_id, item_id, scores, rated)
-        observations.append(RankObservation(
-            user_id=user_id, rank=rank, n_candidates=R_train.n_items - len(rated)
-        ))
-    return observations, skipped
+        for pos in positions:
+            rank = _rank_unrated(R_train, user_id, relevant[pos][1], scores, rated)
+            ranked[pos] = RankObservation(
+                user_id=user_id, rank=rank, n_candidates=R_train.n_items - len(rated)
+            )
+    return [obs for obs in ranked if obs is not None], skipped
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     DimensionError,
+    FormatError,
     ParameterError,
     SingularityError,
 )
@@ -65,6 +66,7 @@ def fit_cca(
 
     ridge=None picks a scale-aware default per view,
     DEFAULT_RIDGE_FACTOR * trace(C)/d; ridge=0 demands full-rank covariances.
+    Values so large that a covariance overflows float64 raise FormatError.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -84,17 +86,22 @@ def fit_cca(
     if not 1 <= k <= max_k:
         raise ParameterError(f"k must lie in [1, {max_k}], got {k}")
 
-    mean_x = X.mean(axis=0)
-    mean_y = Y.mean(axis=0)
-    Xc = X - mean_x
-    Yc = Y - mean_y
-    cxx = Xc.T @ Xc / (n - 1)
-    cyy = Yc.T @ Yc / (n - 1)
-    cxy = Xc.T @ Yc / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x = X.mean(axis=0)
+        mean_y = Y.mean(axis=0)
+        Xc = X - mean_x
+        Yc = Y - mean_y
+        cxx = Xc.T @ Xc / (n - 1)
+        cyy = Yc.T @ Yc / (n - 1)
+        cxy = Xc.T @ Yc / (n - 1)
+        trace_x, trace_y = np.trace(cxx), np.trace(cyy)
+    for side, arrays in (("X", (cxx, trace_x)), ("Y", (cyy, trace_y, cxy))):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FormatError(f"{side} covariance overflows float64")
 
     if ridge is None:
-        ridge_x = DEFAULT_RIDGE_FACTOR * np.trace(cxx) / d1
-        ridge_y = DEFAULT_RIDGE_FACTOR * np.trace(cyy) / d2
+        ridge_x = DEFAULT_RIDGE_FACTOR * trace_x / d1
+        ridge_y = DEFAULT_RIDGE_FACTOR * trace_y / d2
     else:
         if ridge < 0:
             raise ParameterError(f"ridge must be nonnegative, got {ridge}")
@@ -140,9 +147,13 @@ def fuse_matrix(model: CcaModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise DimensionError("matrix widths do not match the model")
     if X.shape[0] != Y.shape[0]:
         raise AlignmentError("views disagree on item count")
-    px = (X - model.mean_x) @ model.wx
-    py = (Y - model.mean_y) @ model.wy
-    return np.hstack([px, py])
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = (X - model.mean_x) @ model.wx
+        py = (Y - model.mean_y) @ model.wy
+    fused = np.hstack([px, py])
+    if not np.isfinite(fused).all():
+        raise FormatError("a projected row overflows float64")
+    return fused
 
 
 # ---------------------------------------------------------------------------

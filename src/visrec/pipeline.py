@@ -4,12 +4,12 @@
 ``key(cfg, args)`` checks the stage's preconditions and returns the inputs,
 parameters and variant its cache key hashes, and ``build(cfg, args,
 stage_dir)`` writes the artifacts and returns their paths. ``run_stage`` is
-the one runner: it builds the cache key, returns early when the stage's
-``manifest_*.json`` matches, drops that manifest, calls ``build`` and then
-writes a fresh manifest recording input digests, parameters, seed and output
-digests. A mismatch is an error unless forced, so cached features are never
-silently rebuilt or silently reused across input changes, and a build that
-stops midway leaves no manifest to report it up to date.
+the one runner and the whole cache: it builds the cache key, returns early
+when the stage's ``manifest_*.json`` matches, drops that manifest, calls
+``build`` and writes a fresh manifest of input digests, parameters, seed and
+output digests. A mismatch is an error unless forced, so cached features are
+never silently rebuilt or reused across input changes, and a build that stops
+midway leaves no manifest. ``recommend_items`` is a query, not a stage.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DependencyError,
+    FormatError,
     ParameterError,
     StaleCacheError,
 )
@@ -186,47 +187,6 @@ def _manifest_path(stage_dir: Path, variant: str | None = None) -> Path:
     return stage_dir / name
 
 
-class _StageCache:
-    """Decides between no-op, fresh run, and stale-cache error."""
-
-    def __init__(self, cache_dir: Path, stage: str, inputs: dict, params: dict,
-                 seed: int, force: bool, variant: str | None = None):
-        self.stage_dir = cache_dir / stage
-        self.stage = stage
-        self.inputs = inputs
-        self.params = params
-        self.seed = seed
-        self.key = _cache_key(inputs, params, seed)
-        self.manifest_file = _manifest_path(self.stage_dir, variant)
-        self.force = force
-
-    def up_to_date(self) -> bool:
-        if not self.manifest_file.exists():
-            return False
-        manifest = json.loads(self.manifest_file.read_text())
-        if manifest.get("key") == self.key:
-            return not self.force
-        if self.force:
-            return False
-        raise StaleCacheError(
-            f"stage {self.stage!r} has cached artifacts built from different "
-            f"inputs or parameters; re-run with --force to rebuild"
-        )
-
-    def commit(self, outputs: list[Path]):
-        manifest = {
-            "stage": self.stage,
-            "key": self.key,
-            "inputs": self.inputs,
-            "params": self.params,
-            "seed": self.seed,
-            "outputs": {
-                str(p.relative_to(self.stage_dir)): _digest_file(p) for p in outputs
-            },
-        }
-        self.manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def _require_stage(cfg: PipelineConfig, stage: str, variant: str | None = None) -> Path:
     stage_dir = cfg.cache_dir / stage
     if not _manifest_path(stage_dir, variant).exists():
@@ -253,8 +213,6 @@ def _config_inputs(cfg: PipelineConfig, *names: str) -> dict[str, str]:
 
 class StageArgs(NamedTuple):
     family: str
-    user: int | None
-    top_n: int
     jobs: int
 
 
@@ -346,14 +304,18 @@ def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
     return [path]
 
 
-def _movie_level(records: list[FeatureRecord], kind: AggregationKind) -> list[FeatureRecord]:
+def _movie_level(records: list[FeatureRecord], kind: AggregationKind,
+                 source: Path) -> list[FeatureRecord]:
     by_movie: dict[int, list[FeatureVector]] = {}
     for rec in records:
         by_movie.setdefault(rec.movie_id, []).append(rec.vector)
-    return [
-        FeatureRecord(movie_id, None, aggregate(vectors, kind))
-        for movie_id, vectors in sorted(by_movie.items())
-    ]
+    out = []
+    for movie_id, vectors in sorted(by_movie.items()):
+        try:
+            out.append(FeatureRecord(movie_id, None, aggregate(vectors, kind)))
+        except FormatError as exc:
+            raise FormatError(f"{source}: movie {movie_id}: {exc}") from None
+    return out
 
 
 def _aggregate_key(cfg: PipelineConfig, args: StageArgs):
@@ -369,12 +331,10 @@ def _aggregate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> l
     feat_dir.mkdir(exist_ok=True)
     outputs = []
 
-    mpeg7_records = read_feature_file(
-        cfg.cache_dir / "extract" / "features" / "MPEG7_ALL.keyframes.bin"
-    )
+    keyframes = cfg.cache_dir / "extract" / "features" / "MPEG7_ALL.keyframes.bin"
     agg_kind = AggregationKind(cfg.agg_mpeg7)
     path = feat_dir / "MPEG7_ALL.movies.bin"
-    write_feature_bin(path, _movie_level(mpeg7_records, agg_kind))
+    write_feature_bin(path, _movie_level(read_feature_file(keyframes), agg_kind, keyframes))
     outputs.append(path)
 
     if cfg.embeddings is not None:
@@ -385,7 +345,8 @@ def _aggregate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> l
             for movie_id, kf in manifest
         ]
         path = feat_dir / "DNN.movies.bin"
-        write_feature_bin(path, _movie_level(dnn_records, AggregationKind(cfg.agg_dnn)))
+        write_feature_bin(path, _movie_level(dnn_records, AggregationKind(cfg.agg_dnn),
+                                             cfg.embeddings))
         outputs.append(path)
     return outputs
 
@@ -420,10 +381,13 @@ def _fuse_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[P
     fit_rows = [i for i, movie_id in enumerate(m_ids) if movie_id in rated_ids]
     if len(fit_rows) < 2:
         raise ParameterError("CCA needs at least 2 movies with ratings")
-    model = fit_cca(
-        m_values[fit_rows], d_values[fit_rows], k=cfg.cca_k, ridge=cfg.cca_ridge
-    )
-    fused = fuse_matrix(model, m_values, d_values)
+    try:
+        model = fit_cca(
+            m_values[fit_rows], d_values[fit_rows], k=cfg.cca_k, ridge=cfg.cca_ridge
+        )
+        fused = fuse_matrix(model, m_values, d_values)
+    except FormatError as exc:  # MPEG-7 values are bounded; the DNN view overflowed
+        raise FormatError(f"{cfg.embeddings}: cannot fuse the DNN embeddings: {exc}") from None
 
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
@@ -562,28 +526,6 @@ def _evaluate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> li
     return [path]
 
 
-def _recommend_key(cfg: PipelineConfig, args: StageArgs):
-    if args.user is None:
-        raise ConfigError("recommend needs --user")
-    inputs = _config_inputs(cfg, "ratings")
-    train_dir = _require_stage(cfg, "train", variant=args.family)
-    inputs["model"] = _digest_file(train_dir / f"model_{args.family}.bin")
-    params = {"family": args.family, "user": args.user, "top_n": args.top_n}
-    return inputs, params, f"{args.family}_u{args.user}"
-
-
-def _recommend_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    model = load_model(cfg.cache_dir / "train" / f"model_{args.family}.bin")
-    R = load_ratings_csv(cfg.ratings, item_ids=list(model.item_ids))
-    items = recommend(model, R, args.user, args.top_n)
-    path = stage_dir / f"recommendations_{args.family}_u{args.user}.csv"
-    lines = ["rank,movie_id"] + [f"{i + 1},{m}" for i, m in enumerate(items)]
-    path.write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return [path]
-
-
 STAGES: dict[str, Stage] = {
     "segment": Stage(_segment_key, _segment_build),
     "extract": Stage(_extract_key, _extract_build),
@@ -592,13 +534,11 @@ STAGES: dict[str, Stage] = {
     "textfeat": Stage(_textfeat_key, _textfeat_build),
     "train": Stage(_train_key, _train_build),
     "evaluate": Stage(_evaluate_key, _evaluate_build),
-    "recommend": Stage(_recommend_key, _recommend_build),
 }
 
 
 def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
-              user: int | None = None, top_n: int = 10, force: bool = False,
-              jobs: int = 1) -> list[Path]:
+              force: bool = False, jobs: int = 1) -> list[Path]:
     """Run one stage through the cache; returns its outputs, or [] if up to date.
 
     The old manifest is removed before the build and the new one written
@@ -612,13 +552,38 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
         raise ParameterError(f"seed must be nonnegative, got {cfg.seed}")
     cfg.cache_dir = Path(cfg.cache_dir)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-    args = StageArgs(family=family, user=user, top_n=top_n, jobs=jobs)
+    args = StageArgs(family=family, jobs=jobs)
     inputs, params, variant = STAGES[stage].key(cfg, args)
-    cache = _StageCache(cfg.cache_dir, stage, inputs, params, cfg.seed, force, variant)
-    if cache.up_to_date():
-        return []
-    cache.manifest_file.unlink(missing_ok=True)
-    cache.stage_dir.mkdir(exist_ok=True)
-    outputs = STAGES[stage].build(cfg, args, cache.stage_dir)
-    cache.commit(outputs)
+    key = _cache_key(inputs, params, cfg.seed)
+    stage_dir = cfg.cache_dir / stage
+    manifest_file = _manifest_path(stage_dir, variant)
+    if manifest_file.exists() and not force:
+        if json.loads(manifest_file.read_text()).get("key") == key:
+            return []
+        raise StaleCacheError(
+            f"stage {stage!r} has cached artifacts built from different "
+            f"inputs or parameters; re-run with --force to rebuild"
+        )
+    manifest_file.unlink(missing_ok=True)
+    stage_dir.mkdir(exist_ok=True)
+    outputs = STAGES[stage].build(cfg, args, stage_dir)
+    manifest = {
+        "stage": stage,
+        "key": key,
+        "inputs": inputs,
+        "params": params,
+        "seed": cfg.seed,
+        "outputs": {str(p.relative_to(stage_dir)): _digest_file(p) for p in outputs},
+    }
+    manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return outputs
+
+
+def recommend_items(cfg: PipelineConfig, family: str, user: int, n: int) -> list[int]:
+    """Top-n unrated items for ``user`` from the trained ``family`` model: a
+    query outside the stage cache that reads no seed and hashes or writes nothing."""
+    cfg.require("ratings")
+    train_dir = _require_stage(cfg, "train", variant=family)
+    model = load_model(train_dir / f"model_{family}.bin")
+    R = load_ratings_csv(cfg.ratings, item_ids=list(model.item_ids))
+    return recommend(model, R, user, n)

@@ -417,9 +417,8 @@ def recommend(model: SimilarityModel, R: InteractionMatrix, user_id, n: int) -> 
         raise ParameterError(f"cutoff must be >= 1, got {n}")
     scores = score(model, R, user_id)
     u = R.user_index(user_id)
-    rated, _ = R.user_ratings(u)
     mask = np.ones(R.n_items, dtype=bool)
-    mask[rated] = False
+    mask[R.indices[R.indptr[u] : R.indptr[u + 1]]] = False
     candidates = np.flatnonzero(mask)
     ids = model.item_id_array[candidates]
     order = np.lexsort((ids, -scores[candidates]))

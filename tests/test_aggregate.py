@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from visrec.aggregate import AggregationKind, aggregate
-from visrec.errors import EmptyInputError, KindMismatchError
+from visrec.errors import EmptyInputError, FormatError, KindMismatchError
 from visrec.featureio import FeatureVector
 
 
@@ -52,6 +52,14 @@ class TestAggregateExamples:
         with pytest.raises(KindMismatchError):
             aggregate([fused([1.0]), FeatureVector("TAG_LSA", np.array([1.0]))],
                       AggregationKind.UNION)
+
+    @pytest.mark.parametrize("kind", [AggregationKind.AVERAGE, AggregationKind.MEDIAN])
+    def test_overflowing_reduction_raises(self, kind):
+        vs = [FeatureVector("DNN", np.full(1024, 1e308))] * 4
+        with pytest.raises(FormatError, match=f"{kind.value} of these DNN vectors overflows"):
+            aggregate(vs, kind)
+        for bounded in (AggregationKind.INTERSECTION, AggregationKind.UNION):
+            assert aggregate(vs, bounded).values[0] == 1e308
 
     def test_kind_and_length_preserved(self):
         vs = [FeatureVector("EHD", np.random.default_rng(0).random(80)) for _ in range(3)]

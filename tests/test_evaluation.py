@@ -216,6 +216,35 @@ class TestCollectObservations:
         obs, _ = collect_observations(model, R, [(1, 3, 5.0)])
         assert obs[0].n_candidates == 3  # items 2, 3, 4
 
+    def test_interleaved_users_match_per_entry_ranks(self):
+        rng = np.random.default_rng(11)
+        items = list(range(1, 13))
+        train = [(u, m, 4.0) for u in (1, 2, 3)
+                 for m in rng.choice(items, size=4, replace=False).tolist()]
+        # user 4 is in the universe but has no training ratings
+        R = InteractionMatrix(train, item_ids=items, user_ids=[1, 2, 3, 4])
+        S = rng.normal(size=(12, 12))
+        np.fill_diagonal(S, 0.0)
+        model = SimilarityModel(matrix=S, config=TrainConfig(), item_ids=tuple(items))
+        unrated = {u: [m for m in items if (u, m, 4.0) not in train] for u in (1, 2, 3, 4)}
+        ratings = [5.0, 4.0, 3.0, 4.5]
+        # round-robin over the users, so no user's entries are adjacent
+        entries = [(u, unrated[u][k], ratings[(k + u) % 4])
+                   for k in range(4) for u in (2, 4, 1, 3)]
+        want, skipped = [], 0
+        for user_id, item_id, rating in entries:
+            if rating < 4.0:
+                continue
+            try:
+                rank = rank_one_plus_unrated(model, R, user_id, item_id)
+            except MissingUserError:
+                skipped += 1
+                continue
+            n_rated = sum(1 for entry in train if entry[0] == user_id)
+            want.append(RankObservation(user_id, rank, len(items) - n_rated))
+        assert collect_observations(model, R, entries) == (want, skipped)
+        assert skipped == 3 and len(want) == 9
+
 
 class TestEvalReport:
     def make_report(self):

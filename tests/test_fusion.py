@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from visrec.errors import AlignmentError, DimensionError, ParameterError, SingularityError
+from visrec.errors import (
+    AlignmentError,
+    DimensionError,
+    FormatError,
+    ParameterError,
+    SingularityError,
+)
 from visrec.fusion import fit_cca, fuse, fuse_matrix, load_cca, save_cca
 
 from oracles import cca_correlations_oracle
@@ -89,6 +95,12 @@ class TestFitCca:
         with pytest.raises(ParameterError):
             fit_cca(X, Y, k=10)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_covariance_raises(self, rng, scale):
+        X, Y = random_views(rng)
+        with pytest.raises(FormatError, match="Y covariance overflows"):
+            fit_cca(X, Y / np.abs(Y).max() * scale)
+
 
 class TestFuse:
     def test_means_map_to_zero(self, rng):
@@ -117,6 +129,13 @@ class TestFuse:
         full = fuse_matrix(model, X, Y)
         for i in (0, 3, 11):
             np.testing.assert_allclose(full[i], fuse(model, X[i], Y[i]).values, atol=1e-12)
+
+    def test_overflowing_projection_raises(self, rng):
+        X, Y = random_views(rng)
+        model = fit_cca(X, Y * 1e-5)  # canonical weights near 1e5
+        huge = np.sign(model.wy[:, 0]) * 1e308
+        with pytest.raises(FormatError, match="projected row overflows"):
+            fuse_matrix(model, X[:2], np.vstack([Y[0] * 1e-5, huge]))
 
     def test_dimension_mismatch(self, rng):
         X, Y = random_views(rng)

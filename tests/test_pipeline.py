@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,12 +16,14 @@ from visrec.errors import (
     ConfigError,
     DependencyError,
     FormatError,
+    MissingUserError,
     ParameterError,
     StaleCacheError,
 )
-from visrec.featureio import read_feature_file
+from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
 from visrec.minidata import generate
-from visrec.pipeline import PipelineConfig, run_stage
+from visrec.pipeline import PipelineConfig, recommend_items, run_stage
+from visrec.recsys import load_model, load_ratings_csv, recommend
 from visrec.shots import shots_from_csv
 
 
@@ -50,6 +53,13 @@ def invoke(cfg_path, *args):
     result = CliRunner().invoke(main, ["--config", str(cfg_path), *args])
     assert result.exit_code == 0, result.output
     return result
+
+
+def served_items(cfg, family, user, n):
+    """The top-n list of the cached ``family`` model, computed in process."""
+    model = load_model(cfg.cache_dir / "train" / f"model_{family}.bin")
+    R = load_ratings_csv(cfg.ratings, item_ids=list(model.item_ids))
+    return recommend(model, R, user, n)
 
 
 class TestStageOrdering:
@@ -117,6 +127,16 @@ class TestCacheSemantics:
         monkeypatch.undo()
         assert run_stage("segment", cfg)
 
+    def test_force_rebuilds_over_unreadable_manifest(self, mini, tmp_path):
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
+        run_stage("textfeat", cfg)
+        manifest = cfg.cache_dir / "textfeat" / "manifest.json"
+        good = manifest.read_bytes()
+        manifest.write_text('{"key": ')
+        assert run_stage("textfeat", cfg, force=True)
+        assert manifest.read_bytes() == good
+
     def test_unknown_stage(self, mini):
         with pytest.raises(ConfigError):
             run_stage("transmogrify", load_cfg(mini))
@@ -164,15 +184,15 @@ class TestStageOutputs:
         outputs = run_stage("train", cfg, family="genre")
         assert outputs and outputs[0].name == "model_genre.bin"
 
-    def test_recommend_writes_csv(self, mini):
+    def test_recommend_items_serves_trained_model(self, mini):
         cfg = load_cfg(mini)
         for stage in ("segment", "extract", "aggregate"):
             run_stage(stage, cfg)
         run_stage("train", cfg, family="mpeg7")
-        outputs = run_stage("recommend", cfg, family="mpeg7", user=1, top_n=3)
-        text = outputs[0].read_text().splitlines()
-        assert text[0] == "rank,movie_id"
-        assert len(text) == 4
+        items = recommend_items(cfg, "mpeg7", 1, 3)
+        assert items == served_items(cfg, "mpeg7", 1, 3) and len(items) == 3
+        assert "recommend" not in pipeline.STAGES
+        assert not (cfg.cache_dir / "recommend").exists()
 
     def test_evaluate_report_deterministic(self, mini):
         cfg = load_cfg(mini)
@@ -363,6 +383,32 @@ class TestCli:
         assert not (stage_dir / "report_genre.csv").exists()
         assert not (stage_dir / "manifest_genre.json").exists()
 
+    @pytest.mark.parametrize("scale, stage", [
+        (None, "aggregate"),  # every value 1e308: the DNN average overflows
+        (1e200, "fuse"),  # the DNN covariance overflows
+    ], ids=["average", "covariance"])
+    def test_oversized_embeddings_exit_with_format_code(self, mini, tmp_path, scale, stage):
+        cfg_path = cli_config(mini, tmp_path)
+        embeddings = tmp_path / "embeddings.bin"
+        write_feature_bin(embeddings, [
+            FeatureRecord(r.movie_id, r.keyframe_index, FeatureVector(
+                "DNN", np.full(1024, 1e308) if scale is None else r.vector.values * scale))
+            for r in read_feature_file(mini.parent / "embeddings.bin")
+        ])
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "embeddings": str(embeddings)}))
+        stages = ["segment", "extract", "aggregate", "fuse"]
+        for before in stages[:stages.index(stage)]:
+            invoke(cfg_path, before)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), stage])
+        assert result.exit_code == FormatError.exit_code
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1
+        assert f"error: {embeddings}: " in result.output and "overflows float64" in result.output
+        if stage == "aggregate":
+            assert "movie 1: " in result.output
+        assert not (tmp_path / "cache" / stage / "manifest.json").exists()
+
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
         invoke(cfg_path, "segment")
@@ -409,6 +455,62 @@ class TestCli:
         assert not out.exists()
 
 
+class TestRecommendCli:
+    """recommend is a query on the trained model, outside the stage cache."""
+
+    ARGS = ("recommend", "--features", "genre", "--user", "3")
+
+    @pytest.fixture
+    def trained(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        invoke(cfg_path, "train", "--features", "genre")
+        return cfg_path
+
+    @staticmethod
+    def expected(cfg_path, n, user=3):
+        items = served_items(load_cfg(cfg_path), "genre", user, n)
+        return "".join(f"{line}\n" for line in
+                       ["rank,movie_id", *(f"{r},{m}" for r, m in enumerate(items, 1))])
+
+    def test_repeated_call_prints_the_same_list(self, trained):
+        first = invoke(trained, *self.ARGS, "-n", "3").output
+        assert first == self.expected(trained, 3)
+        assert invoke(trained, *self.ARGS, "-n", "3").output == first
+        assert not (trained.parent / "cache" / "recommend").exists()
+
+    def test_retrained_model_is_served_without_force(self, trained):
+        invoke(trained, *self.ARGS, "-n", "3")
+        invoke(trained, "--force", "train", "--features", "genre", "--alpha", "0.7")
+        model = load_model(trained.parent / "cache" / "train" / "model_genre.bin")
+        assert model.config.alpha == 0.7
+        assert invoke(trained, *self.ARGS, "-n", "3").output == self.expected(trained, 3)
+
+    def test_longer_list_after_shorter(self, trained):
+        # user 2 rated 4 of the corpus's 8 movies, so -n 5 lists all 4 others
+        args = ("recommend", "--features", "genre", "--user", "2")
+        invoke(trained, *args, "-n", "3")
+        output = invoke(trained, *args, "-n", "5").output
+        assert output == self.expected(trained, 5, user=2) and len(output.splitlines()) == 5
+        assert not (trained.parent / "cache" / "recommend").exists()
+
+    @pytest.mark.parametrize("train, args, error", [
+        (False, [], DependencyError),
+        (True, ["--user", "999"], MissingUserError),
+        (True, ["-n", "0"], ParameterError),
+    ], ids=["no-train", "unknown-user", "zero-n"])
+    def test_errors_exit_with_their_codes(self, mini, tmp_path, train, args, error):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        if train:
+            invoke(cfg_path, "train", "--features", "genre", "--epochs", "1")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), *self.ARGS, *args])
+        assert result.exit_code == error.exit_code
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "rank,movie_id" not in result.output
+        assert not (tmp_path / "cache" / "recommend").exists()
+
+
 # Runs the CLI on its arguments, if any, in a fresh interpreter, then prints
 # the scipy modules that interpreter has loaded.
 _LIST_SCIPY = """
@@ -441,5 +543,5 @@ class TestColdPath:
         invoke(cfg_path, "train", "--features", "genre", "--epochs", "1")
         lines = fresh_cli_lines("--config", str(cfg_path), "recommend",
                                 "--features", "genre", "--user", "1", "-n", "3")
-        assert lines[0] == "rank,movie_id" and len(lines) == 6
+        assert lines[0] == "rank,movie_id" and len(lines) == 5
         assert lines[-1] == "[]"
