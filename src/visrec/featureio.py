@@ -1,6 +1,7 @@
 """Feature vectors and their on-disk formats.
 
-Two interchangeable formats carry feature records:
+Two interchangeable formats carry feature records; the toolkit writes the
+binary one and reads both:
 
 * CSV, human-readable. Movie-level files use the header
   ``movie_id,kind,v0,...,v{L-1}``; per-keyframe files insert a
@@ -153,18 +154,6 @@ def read_csv_table(path: str | Path, columns: tuple[str, ...],
                                   f"the header needs {width}")
             out.append(parse(dict(zip(header, row))))
     return out
-
-
-def write_feature_csv(path: str | Path, records: list[FeatureRecord]) -> None:
-    kind, length = _check_uniform(records)
-    keyed = any(r.keyframe_index is not None for r in records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        key_cols = ["movie_id", "keyframe_index"] if keyed else ["movie_id"]
-        writer.writerow(key_cols + ["kind"] + [f"v{i}" for i in range(length)])
-        for rec in records:
-            key = [rec.movie_id, rec.keyframe_index] if keyed else [rec.movie_id]
-            writer.writerow(key + [kind] + [format(v, ".17g") for v in rec.vector.values])
 
 
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:

@@ -3,13 +3,12 @@
 The fitted model projects each view onto its canonical directions; the fused
 descriptor is the concatenation of the two projections (length 2k), which
 keeps both views rather than collapsing them. ``fuse_matrix`` is the one
-implementation of the projection; ``fuse`` applies it to a single item.
+implementation of the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .featureio import FeatureVector, read_arrays, write_arrays
 
 DEFAULT_RIDGE_FACTOR = 1e-4
 
@@ -130,17 +128,6 @@ def fit_cca(
     )
 
 
-def fuse(model: CcaModel, x: np.ndarray, y: np.ndarray) -> FeatureVector:
-    """Project (x, y) onto the canonical directions; output length is 2k."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (model.d1,):
-        raise DimensionError(f"x has shape {x.shape}, model expects ({model.d1},)")
-    if y.shape != (model.d2,):
-        raise DimensionError(f"y has shape {y.shape}, model expects ({model.d2},)")
-    return FeatureVector("FUSED", fuse_matrix(model, x[None], y[None])[0])
-
-
 def fuse_matrix(model: CcaModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Project aligned item rows of both views; one fused row (length 2k) per item."""
     if X.shape[1] != model.d1 or Y.shape[1] != model.d2:
@@ -154,21 +141,3 @@ def fuse_matrix(model: CcaModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if not np.isfinite(fused).all():
         raise FormatError("a projected row overflows float64")
     return fused
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a "cca" container file (see featureio)
-# ---------------------------------------------------------------------------
-
-_CCA_ARRAYS = {"mean_x": "<f8 d1", "mean_y": "<f8 d2", "correlations": "<f8 k",
-               "wx": "<f8 d1 k", "wy": "<f8 d2 k"}
-
-
-def save_cca(path: str | Path, model: CcaModel) -> None:
-    attrs = {"ridge_x": model.ridge_x, "ridge_y": model.ridge_y}
-    write_arrays(path, "cca", attrs, **{name: getattr(model, name) for name in _CCA_ARRAYS})
-
-
-def load_cca(path: str | Path) -> CcaModel:
-    attrs, arrays = read_arrays(path, "cca", {"ridge_x": float, "ridge_y": float}, _CCA_ARRAYS)
-    return CcaModel(**arrays, k=arrays["wx"].shape[1], **attrs)

@@ -5,13 +5,12 @@ each span the full 0..255 interval, no studio-swing headroom.
 
 Each color rule has one vectorized implementation over ``(..., 3)`` RGB
 arrays: ``rgb_to_ycbcr_planes`` (whose Y is ``_luma``, the one place the
-BT.601 weights are applied) and ``rgb_image_to_hsv`` (the hexcone). The
-scalar ``rgb_to_ycbcr`` and ``rgb_to_hsv``, ``luma``, ``write_y4m`` and the
-descriptors all call them. The HSV cell ids of ``shots.hsv_cell_indices``
-are defined by this hexcone: that quantizer runs in integer arithmetic, but
-it builds its S and V tables with ``rgb_image_to_hsv`` and calls it for the
-pixels whose exact hue lies on a bin edge, so its ids equal the binned float
-hexcone's.
+BT.601 weights are applied) and ``rgb_image_to_hsv`` (the hexcone).
+``luma``, ``write_y4m`` and the descriptors all call them. The HSV cell ids
+of ``shots.hsv_cell_indices`` are defined by this hexcone: that quantizer
+runs in integer arithmetic, but it builds its S and V tables with
+``rgb_image_to_hsv`` and calls it for the pixels whose exact hue lies on a
+bin edge, so its ids equal the binned float hexcone's.
 """
 
 from __future__ import annotations
@@ -94,11 +93,6 @@ def rgb_to_ycbcr_planes(pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, cb, cr
 
 
-def rgb_to_ycbcr(pixel) -> tuple[float, float, float]:
-    """BT.601 full-range YCbCr of one RGB triple, real-valued (no rounding)."""
-    return tuple(float(c) for c in rgb_to_ycbcr_planes(pixel))
-
-
 def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     """Invert the full-range BT.601 transform on full-resolution planes."""
     y = y.astype(np.float64)
@@ -109,11 +103,6 @@ def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.nda
     g = (y - _KR * r - _KB * b) / _KG
     rgb = np.stack([r, g, b], axis=-1)
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
-
-
-def rgb_to_hsv(pixel) -> tuple[float, float, float]:
-    """Hexcone HSV (``rgb_image_to_hsv``) of one RGB triple."""
-    return tuple(float(c) for c in rgb_image_to_hsv(pixel))
 
 
 def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:

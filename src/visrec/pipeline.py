@@ -44,7 +44,7 @@ from .featureio import (
     write_feature_bin,
     write_keyframe_manifest,
 )
-from .fusion import fit_cca, fuse_matrix, save_cca
+from .fusion import fit_cca, fuse_matrix
 from .media import parse_ppm, parse_y4m, write_ppm
 from .recsys import (
     FeatureMatrix,
@@ -391,15 +391,13 @@ def _fuse_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[P
 
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
-    model_path = stage_dir / "cca_model.bin"
-    save_cca(model_path, model)
     records = [
         FeatureRecord(movie_id, None, FeatureVector("FUSED", row))
         for movie_id, row in zip(m_ids, fused)
     ]
     fused_path = feat_dir / "FUSED.movies.bin"
     write_feature_bin(fused_path, records)
-    return [model_path, fused_path]
+    return [fused_path]
 
 
 def _textfeat_key(cfg: PipelineConfig, args: StageArgs):
@@ -469,6 +467,15 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
+def _train(cfg: PipelineConfig, family: str, R, F):
+    """``train_collective_slim`` under the config's hyper-parameters; features
+    too large to standardize are a FormatError naming the family's file."""
+    try:
+        return train_collective_slim(R, F, _train_config(cfg))
+    except FormatError as exc:
+        raise FormatError(f"{_family_feature_path(cfg, family)}: {exc}") from None
+
+
 def _train_key(cfg: PipelineConfig, args: StageArgs):
     inputs = _config_inputs(cfg, "ratings")
     inputs["features"] = _digest_file(_family_feature_path(cfg, args.family))
@@ -479,7 +486,7 @@ def _train_key(cfg: PipelineConfig, args: StageArgs):
 
 def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     R, F = load_family_matrix(cfg, args.family)
-    model = train_collective_slim(R, F, _train_config(cfg))
+    model = _train(cfg, args.family, R, F)
     path = stage_dir / f"model_{args.family}.bin"
     save_model(path, model, feature_dim=F.d)
     return [path]
@@ -489,10 +496,9 @@ def run_evaluation(cfg: PipelineConfig, family: str) -> EvalReport:
     R, F = load_family_matrix(cfg, family)
     splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
     report = EvalReport(cutoffs=cfg.cutoffs)
-    train_cfg = _train_config(cfg)
     for split in splits:
         R_train = R.restrict(split.train_idx)
-        model = train_collective_slim(R_train, F, train_cfg)
+        model = _train(cfg, family, R_train, F)
         eval_idx = split.test_idx if cfg.eval_on == "test" else split.val_idx
         entries = [
             (
@@ -542,9 +548,10 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     """Run one stage through the cache; returns its outputs, or [] if up to date.
 
     The old manifest is removed before the build and the new one written
-    after it, so a build that stops midway leaves no manifest behind. Every
-    cache key hashes the seed, so a negative seed is rejected here, before
-    any stage runs.
+    after it, so a build that stops midway leaves no manifest behind. A
+    manifest that is not a JSON object counts as stale. Every cache key
+    hashes the seed, so a negative seed is rejected here, before any stage
+    runs.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
@@ -558,12 +565,15 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     stage_dir = cfg.cache_dir / stage
     manifest_file = _manifest_path(stage_dir, variant)
     if manifest_file.exists() and not force:
-        if json.loads(manifest_file.read_text()).get("key") == key:
+        try:
+            cached = json.loads(manifest_file.read_text())
+        except (ValueError, RecursionError):
+            cached = None
+        if isinstance(cached, dict) and cached.get("key") == key:
             return []
-        raise StaleCacheError(
-            f"stage {stage!r} has cached artifacts built from different "
-            f"inputs or parameters; re-run with --force to rebuild"
-        )
+        why = ("cached artifacts built from different inputs or parameters"
+               if isinstance(cached, dict) else f"an unreadable {manifest_file.name}")
+        raise StaleCacheError(f"stage {stage!r} has {why}; re-run with --force to rebuild")
     manifest_file.unlink(missing_ok=True)
     stage_dir.mkdir(exist_ok=True)
     outputs = STAGES[stage].build(cfg, args, stage_dir)

@@ -237,9 +237,14 @@ def standardize_columns(values: np.ndarray) -> np.ndarray:
     matrix, so rounding noise in a column that should be constant is zeroed
     instead of scaled up to unit variance. The scale is the matrix's: a
     column of pure noise has no scale of its own to compare against.
+    Values so large that a column's standard deviation overflows float64
+    raise FormatError.
     """
-    centered = values - values.mean(axis=0)
-    std = centered.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values - values.mean(axis=0)
+        std = centered.std(axis=0)
+    if not np.isfinite(std).all():
+        raise FormatError("the standard deviation of a feature column overflows float64")
     constant = std <= CONSTANT_COLUMN_RTOL * np.abs(values).max(initial=0.0)
     centered[:, constant] = 0.0
     std[constant] = 1.0

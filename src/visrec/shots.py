@@ -30,8 +30,9 @@ DEFAULT_THRESHOLD = 0.75
 
 @dataclass(frozen=True)
 class Histogram:
+    """Bins of a normalized histogram: nonnegative and summing to 1."""
+
     bins: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         b = np.asarray(self.bins, dtype=np.float64)
@@ -39,7 +40,7 @@ class Histogram:
             raise DimensionError(f"histogram bins must be a vector, got shape {b.shape}")
         if (b < 0).any():
             raise ValueError("histogram bins must be nonnegative")
-        if self.normalized and abs(b.sum() - 1.0) > 1e-9:
+        if abs(b.sum() - 1.0) > 1e-9:
             raise ValueError(f"normalized histogram sums to {b.sum()!r}, not 1")
         b.setflags(write=False)
         object.__setattr__(self, "bins", b)
@@ -112,7 +113,7 @@ def frame_histogram(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -
         raise EmptyInputError("cannot build a histogram from a zero-pixel frame")
     n_cells = bins[0] * bins[1] * bins[2]
     counts = np.bincount(cells.ravel(), minlength=n_cells).astype(np.float64)
-    return Histogram(bins=counts / cells.size, normalized=True)
+    return Histogram(bins=counts / cells.size)
 
 
 def histogram_intersection(h1: Histogram, h2: Histogram) -> float:
@@ -185,18 +186,3 @@ def shots_to_csv(shots: ShotBoundaryList) -> str:
         writer.writerow([shot_id, start, end, kf])
     return buf.getvalue()
 
-
-def shots_from_csv(text: str) -> ShotBoundaryList:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != SHOT_CSV_HEADER:
-        raise ValueError(f"unexpected shot CSV header: {rows[0] if rows else 'empty file'}")
-    starts, ends, keyframes = [], [], []
-    for row in rows[1:]:
-        _, start, end, kf = (int(v) for v in row)
-        starts.append(start)
-        ends.append(end)
-        keyframes.append(kf)
-    boundaries = [e for e in ends[:-1]]
-    return ShotBoundaryList(
-        boundaries=tuple(boundaries), keyframes=tuple(keyframes), n_frames=ends[-1] + 1
-    )

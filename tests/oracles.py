@@ -49,7 +49,8 @@ def hsv_bin_scalar(r, g, b, bins=(16, 4, 4)):
         h = 60.0 * ((rf - gf) / d + 4.0)
     if h >= 360.0:
         h -= 360.0
-    hi = min(int(h / (360.0 / hb)), hb - 1)
+    # the package's rule; h / (360 / hb) floors 717 of the 2**24 triples lower
+    hi = min(int(h * (hb / 360.0)), hb - 1)
     si = min(int(s * sb), sb - 1)
     vi = min(int(v * vb), vb - 1)
     return hi * (sb * vb) + si * vb + vi

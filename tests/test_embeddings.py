@@ -8,8 +8,9 @@ from visrec.featureio import (
     FeatureVector,
     write_arrays,
     write_feature_bin,
-    write_feature_csv,
 )
+
+from datasets import write_feature_csv
 
 
 def write_dnn_file(path, keys, rng):

@@ -13,9 +13,10 @@ from visrec.featureio import (
     read_keyframe_manifest,
     write_arrays,
     write_feature_bin,
-    write_feature_csv,
     write_keyframe_manifest,
 )
+
+from datasets import write_feature_csv
 
 
 def records_of(kind, length, keys):
@@ -79,7 +80,7 @@ class TestCsvFormat:
             FeatureRecord(2, None, FeatureVector("HTD", np.zeros(62))),
         ]
         with pytest.raises(KindMismatchError):
-            write_feature_csv(tmp_path / "bad.csv", records)
+            write_feature_bin(tmp_path / "bad.bin", records)
 
     @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD", "100000000000000000000,CLD"])
     def test_non_integer_movie_id_names_line(self, tmp_path, row):

@@ -8,7 +8,7 @@ from visrec.errors import (
     ParameterError,
     SingularityError,
 )
-from visrec.fusion import fit_cca, fuse, fuse_matrix, load_cca, save_cca
+from visrec.fusion import fit_cca, fuse_matrix
 
 from oracles import cca_correlations_oracle
 
@@ -106,20 +106,20 @@ class TestFuse:
     def test_means_map_to_zero(self, rng):
         X, Y = random_views(rng)
         model = fit_cca(X, Y)
-        out = fuse(model, model.mean_x, model.mean_y)
-        assert out.kind == "FUSED" and len(out) == 2 * model.k
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        out = fuse_matrix(model, model.mean_x[None], model.mean_y[None])
+        assert out.shape == (1, 2 * model.k)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_output_length_2k(self, rng):
         X, Y = random_views(rng)
         model = fit_cca(X, Y, k=2)
-        assert len(fuse(model, X[0], Y[0])) == 4
+        assert fuse_matrix(model, X[:1], Y[:1]).shape == (1, 4)
 
     def test_training_row_consistent_with_fit(self, rng):
         X, Y = random_views(rng)
         model = fit_cca(X, Y)
         i = 7
-        out = fuse(model, X[i], Y[i]).values
+        out = fuse_matrix(model, X[i : i + 1], Y[i : i + 1])[0]
         px = (X[i] - model.mean_x) @ model.wx  # recomputed projection
         np.testing.assert_array_equal(out[: model.k], px)
 
@@ -128,7 +128,8 @@ class TestFuse:
         model = fit_cca(X, Y)
         full = fuse_matrix(model, X, Y)
         for i in (0, 3, 11):
-            np.testing.assert_allclose(full[i], fuse(model, X[i], Y[i]).values, atol=1e-12)
+            row = fuse_matrix(model, X[i : i + 1], Y[i : i + 1])[0]
+            np.testing.assert_allclose(full[i], row, atol=1e-12)
 
     def test_overflowing_projection_raises(self, rng):
         X, Y = random_views(rng)
@@ -141,17 +142,7 @@ class TestFuse:
         X, Y = random_views(rng)
         model = fit_cca(X, Y)
         with pytest.raises(DimensionError):
-            fuse(model, np.zeros(9), Y[0])
+            fuse_matrix(model, np.zeros((1, 9)), Y[:1])
+        with pytest.raises(DimensionError):
+            fuse_matrix(model, X[:1], np.zeros((1, 9)))
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
-        X, Y = random_views(rng)
-        model = fit_cca(X, Y)
-        path = tmp_path / "cca.bin"
-        save_cca(path, model)
-        back = load_cca(path)
-        assert (back.d1, back.d2, back.k) == (model.d1, model.d2, model.k)
-        assert back.ridge_x == model.ridge_x and back.ridge_y == model.ridge_y
-        for attr in ("wx", "wy", "correlations", "mean_x", "mean_y"):
-            np.testing.assert_array_equal(getattr(back, attr), getattr(model, attr))

@@ -13,8 +13,8 @@ from visrec.media import (
     hsv_to_rgb,
     parse_ppm,
     parse_y4m,
-    rgb_to_hsv,
-    rgb_to_ycbcr,
+    rgb_image_to_hsv,
+    rgb_to_ycbcr_planes,
     write_ppm,
     write_y4m,
 )
@@ -121,43 +121,42 @@ class TestParsePpm:
 
 class TestColorConversions:
     def test_hsv_black(self):
-        assert rgb_to_hsv((0, 0, 0)) == (0.0, 0.0, 0.0)
+        assert tuple(rgb_image_to_hsv((0, 0, 0))) == (0.0, 0.0, 0.0)
 
     def test_hsv_pure_red(self):
-        assert rgb_to_hsv((255, 0, 0)) == (0.0, 1.0, 1.0)
+        assert tuple(rgb_image_to_hsv((255, 0, 0))) == (0.0, 1.0, 1.0)
 
     def test_hsv_mixed_pixel_matches_hand_evaluation(self):
         # max=128/255, min=32/255, delta=96/255 -> S=0.75, H=60*(32/96)=20
-        h, s, v = rgb_to_hsv((128, 64, 32))
+        h, s, v = rgb_image_to_hsv((128, 64, 32))
         assert h == pytest.approx(20.0, abs=1e-6)
         assert s == pytest.approx(0.75, abs=1e-6)
         assert v == pytest.approx(128 / 255, abs=1e-6)
 
     def test_ycbcr_black_and_white(self):
-        assert rgb_to_ycbcr((0, 0, 0)) == pytest.approx((0.0, 128.0, 128.0))
-        assert rgb_to_ycbcr((255, 255, 255)) == pytest.approx((255.0, 128.0, 128.0))
+        assert rgb_to_ycbcr_planes((0, 0, 0)) == pytest.approx((0.0, 128.0, 128.0))
+        assert rgb_to_ycbcr_planes((255, 255, 255)) == pytest.approx((255.0, 128.0, 128.0))
 
     def test_ycbcr_red_matches_hand_matrix(self):
         # Y=0.299*255=76.245, Cb=128-0.168736*255, Cr=128+0.5*255
-        y, cb, cr = rgb_to_ycbcr((255, 0, 0))
+        y, cb, cr = rgb_to_ycbcr_planes((255, 0, 0))
         assert y == pytest.approx(76.245, abs=1e-3)
         assert cb == pytest.approx(84.9723, abs=1e-3)
         assert cr == pytest.approx(255.5, abs=1e-3)
 
     def test_hsv_inverse_recovers_rgb_on_lattice(self):
         levels = np.linspace(0, 255, 17).astype(int)
-        for r in levels:
-            for g in levels:
-                for b in levels:
-                    h, s, v = rgb_to_hsv((r, g, b))
-                    rr, gg, bb = hsv_to_rgb(h, s, v)
-                    assert abs(rr - r) <= 1 and abs(gg - g) <= 1 and abs(bb - b) <= 1
+        lattice = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
+        hsv = rgb_image_to_hsv(lattice).reshape(-1, 3)
+        for (r, g, b), (h, s, v) in zip(lattice.reshape(-1, 3), hsv):
+            rr, gg, bb = hsv_to_rgb(h, s, v)
+            assert abs(rr - r) <= 1 and abs(gg - g) <= 1 and abs(bb - b) <= 1
 
     def test_gray_pixels_are_achromatic(self):
         for level in (0, 31, 128, 255):
-            _, s, _ = rgb_to_hsv((level, level, level))
+            _, s, _ = rgb_image_to_hsv((level, level, level))
             assert s == 0.0
-            _, cb, cr = rgb_to_ycbcr((level, level, level))
+            _, cb, cr = rgb_to_ycbcr_planes((level, level, level))
             assert cb == pytest.approx(128.0) and cr == pytest.approx(128.0)
 
 

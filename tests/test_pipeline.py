@@ -24,7 +24,8 @@ from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, wr
 from visrec.minidata import generate
 from visrec.pipeline import PipelineConfig, recommend_items, run_stage
 from visrec.recsys import load_model, load_ratings_csv, recommend
-from visrec.shots import shots_from_csv
+
+from datasets import shots_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +387,8 @@ class TestCli:
     @pytest.mark.parametrize("scale, stage", [
         (None, "aggregate"),  # every value 1e308: the DNN average overflows
         (1e200, "fuse"),  # the DNN covariance overflows
-    ], ids=["average", "covariance"])
+        (1e200, "train"),  # the DNN columns' standard deviation overflows
+    ], ids=["average", "covariance", "standardize"])
     def test_oversized_embeddings_exit_with_format_code(self, mini, tmp_path, scale, stage):
         cfg_path = cli_config(mini, tmp_path)
         embeddings = tmp_path / "embeddings.bin"
@@ -397,17 +399,36 @@ class TestCli:
         ])
         cfg_data = json.loads(cfg_path.read_text())
         cfg_path.write_text(json.dumps({**cfg_data, "embeddings": str(embeddings)}))
-        stages = ["segment", "extract", "aggregate", "fuse"]
-        for before in stages[:stages.index(stage)]:
+        for before in ("segment", "extract", "aggregate"):
+            if before == stage:
+                break
             invoke(cfg_path, before)
-        result = CliRunner().invoke(main, ["--config", str(cfg_path), stage])
+        family = ["--features", "dnn"] if stage == "train" else []
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), stage, *family])
         assert result.exit_code == FormatError.exit_code
         assert type(result.exception) is SystemExit
         assert result.output.count("error:") == 1
-        assert f"error: {embeddings}: " in result.output and "overflows float64" in result.output
+        source = embeddings
+        if stage == "train":  # training reads the movie-level DNN feature file
+            source = tmp_path / "cache" / "aggregate" / "features" / "DNN.movies.bin"
+        assert f"error: {source}: " in result.output and "overflows float64" in result.output
         if stage == "aggregate":
             assert "movie 1: " in result.output
-        assert not (tmp_path / "cache" / stage / "manifest.json").exists()
+        manifest = "manifest_dnn.json" if stage == "train" else "manifest.json"
+        assert not (tmp_path / "cache" / stage / manifest).exists()
+
+    @pytest.mark.parametrize("text", ['{"key": ', "[]"], ids=["truncated", "not-an-object"])
+    def test_unreadable_manifest_exits_with_stale_code(self, mini, tmp_path, text):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        manifest = tmp_path / "cache" / "textfeat" / "manifest.json"
+        manifest.write_text(text)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "textfeat"])
+        assert result.exit_code == StaleCacheError.exit_code == 5
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1
+        assert "unreadable manifest.json" in result.output and "--force" in result.output
+        assert manifest.read_text() == text
 
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)

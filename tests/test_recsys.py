@@ -11,7 +11,6 @@ from visrec.errors import (
     ToolkitError,
 )
 from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
-from visrec.fusion import fit_cca, load_cca, save_cca
 from visrec.recsys import (
     FeatureMatrix,
     InteractionMatrix,
@@ -166,6 +165,12 @@ class TestStandardizeColumns:
     def test_constant_column_becomes_zero(self):
         values = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
         assert (standardize_columns(values)[:, 0] == 0.0).all()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_std_raises(self, rng, scale):
+        values = rng.normal(size=(8, 5))
+        with pytest.raises(FormatError, match="standard deviation .* overflows float64"):
+            standardize_columns(values / np.abs(values).max() * scale)
 
 
 class TestTrainConfig:
@@ -401,7 +406,7 @@ class TestRecommend:
             assert rated.isdisjoint(recommend(model, R, user, 10))
 
 
-CONTAINER_KINDS = ["features", "cca", "checkpoint"]
+CONTAINER_KINDS = ["features", "checkpoint"]
 
 
 def write_container_file(kind, path):
@@ -416,11 +421,6 @@ def write_container_file(kind, path):
         ]
         write_feature_bin(path, records)
         return read_feature_file, lambda back: np.vstack([r.vector.values for r in back]), records
-    if kind == "cca":
-        X = rng.normal(size=(12, 3))
-        model = fit_cca(X, X[:, :2] + 0.5 * rng.normal(size=(12, 2)))
-        save_cca(path, model)
-        return load_cca, lambda back: back.wx, model
     R = tiny_R()
     model = train_collective_slim(R, flat_features(R), TrainConfig(epochs=2))
     save_model(path, model)

@@ -17,11 +17,11 @@ from visrec.shots import (
     frame_histogram,
     histogram_intersection,
     hsv_cell_indices,
-    shots_from_csv,
     shots_to_csv,
 )
 
 from conftest import solid_frame
+from datasets import shots_from_csv
 from oracles import histogram_oracle, hsv_cells_float
 
 
@@ -50,6 +50,12 @@ class TestFrameHistogram:
         frame = FrameBuffer(rng.integers(0, 256, size=(4, 4, 3)).astype(np.uint8))
         expected = histogram_oracle(frame)
         np.testing.assert_allclose(frame_histogram(frame).bins, expected, atol=1e-12)
+        # hues that h / (360 / 16) would floor one bin lower than h * (16 / 360)
+        for pixel, hue_bin in (((30, 33, 42), 10), ((33, 47, 31), 5)):
+            frame = solid_frame(pixel, width=2, height=2)
+            expected = histogram_oracle(frame)
+            assert (np.flatnonzero(expected) // 16).tolist() == [hue_bin]
+            np.testing.assert_array_equal(frame_histogram(frame).bins, expected)
 
 
 class TestHsvCellIndices:
