@@ -13,7 +13,7 @@ import click
 
 from .aggregate import AggregationKind
 from .errors import ToolkitError
-from .pipeline import FAMILIES, PipelineConfig, recommend_items, run_stage
+from .pipeline import FAMILIES, PipelineConfig, recommend_items, run_stage, stages_for
 
 
 class _ToolkitGroup(click.Group):
@@ -149,8 +149,8 @@ def recommend(ctx, features, user, top_n):
 @main.command("run-all")
 @click.pass_context
 def run_all(ctx):
-    """Run segment, extract, aggregate, fuse, textfeat and evaluate in order."""
-    _run(ctx, ["segment", "extract", "aggregate", "fuse", "textfeat"])
+    """Build what the configured families need, then evaluate each family."""
+    _run(ctx, stages_for(_config(ctx).families))
     _run(ctx, ["evaluate"], family=None)
 
 

@@ -1,15 +1,19 @@
 """Batch pipeline stages over a persistent, digest-keyed feature cache.
 
-``STAGES`` maps each stage name to a ``Stage`` of two plain functions:
-``key(cfg, args)`` checks the stage's preconditions and returns the inputs,
-parameters and variant its cache key hashes, and ``build(cfg, args,
-stage_dir)`` writes the artifacts and returns their paths. ``run_stage`` is
-the one runner and the whole cache: it builds the cache key, returns early
+``STAGES`` is the stage graph, declared once: each ``Stage`` holds
+``key(cfg, args)``, which checks preconditions and returns the inputs,
+parameters and variant its cache key hashes, ``build(cfg, args,
+stage_dir)``, which writes the artifacts and returns their paths, and
+``needs``, the stages whose artifacts ``build`` reads. ``stages_for`` plans
+a run by following ``needs`` from the stages that write the families'
+features (``FAMILIES``). ``run_stage`` is the one runner and the whole
+cache: it hashes the needed stages' manifests with the key, returns early
 when the stage's ``manifest_*.json`` matches, drops that manifest, calls
-``build`` and writes a fresh manifest of input digests, parameters, seed and
-output digests. A mismatch is an error unless forced, so cached features are
-never silently rebuilt or reused across input changes, and a build that stops
-midway leaves no manifest. ``recommend_items`` is a query, not a stage.
+``build`` and writes a fresh manifest of input digests, parameters, seed
+and output digests. A mismatch is an error unless forced, so cached
+features are never silently rebuilt or reused across input changes, and a
+build that stops midway leaves no manifest. ``recommend_items`` is a
+query, not a stage.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from .errors import (
     ParameterError,
     StaleCacheError,
 )
-from .evaluation import EvalReport, collect_observations, compute_metrics, make_splits
+from .evaluation import CUTOFFS, EvalReport, collect_observations, compute_metrics, make_splits
 from .featureio import (
     CONTAINER_MAGIC,
     FeatureRecord,
     FeatureVector,
+    parse_int64,
     read_feature_file,
     read_keyframe_manifest,
     write_feature_bin,
@@ -55,24 +60,16 @@ from .recsys import (
     save_model,
     train_collective_slim,
 )
-from .shots import detect_shots, shots_to_csv
+from .shots import DEFAULT_THRESHOLD, detect_shots, shots_to_csv
 from .textfeat import build_genre_matrix, fit_tag_lsa, load_movies_csv, load_tags_csv
 
+# each family's feature kind and the stage that writes its movie-level file
 FAMILIES = {
-    "mpeg7": "MPEG7_ALL",
-    "dnn": "DNN",
-    "fused": "FUSED",
-    "genre": "GENRE",
-    "tag-lsa": "TAG_LSA",
-}
-
-# the stage that writes each family's movie-level feature file
-_FAMILY_STAGE = {
-    "mpeg7": "aggregate",
-    "dnn": "aggregate",
-    "fused": "fuse",
-    "genre": "textfeat",
-    "tag-lsa": "textfeat",
+    "mpeg7": ("MPEG7_ALL", "aggregate"),
+    "dnn": ("DNN", "aggregate"),
+    "fused": ("FUSED", "fuse"),
+    "genre": ("GENRE", "textfeat"),
+    "tag-lsa": ("TAG_LSA", "textfeat"),
 }
 
 
@@ -95,7 +92,7 @@ class PipelineConfig:
     embeddings: Path | None = None
     cache_dir: Path = Path("cache")
     seed: int = 0
-    threshold: float = 0.75
+    threshold: float = DEFAULT_THRESHOLD
     agg_mpeg7: str = "intersection"
     agg_dnn: str = "average"
     cca_k: int | None = None
@@ -107,8 +104,8 @@ class PipelineConfig:
     epochs: int = TrainConfig.epochs
     relevance_threshold: float = TrainConfig.relevance_threshold
     folds: int = 5
-    cutoffs: tuple[int, ...] = (1, 10, 20)
-    families: tuple[str, ...] = ("mpeg7", "dnn", "fused", "genre", "tag-lsa")
+    cutoffs: tuple[int, ...] = CUTOFFS
+    families: tuple[str, ...] = tuple(FAMILIES)
     eval_on: str = "test"
 
     @classmethod
@@ -196,10 +193,6 @@ def _require_stage(cfg: PipelineConfig, stage: str, variant: str | None = None) 
     return stage_dir
 
 
-def _manifest_digest(cfg: PipelineConfig, stage: str) -> str:
-    return _digest_file(_manifest_path(_require_stage(cfg, stage)))
-
-
 def _config_inputs(cfg: PipelineConfig, *names: str) -> dict[str, str]:
     """Digests of the named config input files, which must be set and exist."""
     cfg.require(*names)
@@ -219,19 +212,24 @@ class StageArgs(NamedTuple):
 class Stage(NamedTuple):
     key: Callable[[PipelineConfig, StageArgs], tuple[dict, dict, str | None]]
     build: Callable[[PipelineConfig, StageArgs, Path], list[Path]]
+    needs: tuple[str, ...] = ()
 
 
 def _videos(cfg: PipelineConfig) -> list[tuple[int, Path]]:
     videos = sorted(Path(cfg.videos_dir).glob("*.y4m"))
     if not videos:
         raise ConfigError(f"no .y4m files under {cfg.videos_dir}")
-    out = []
+    by_id: dict[int, Path] = {}
     for video in videos:
         try:
-            out.append((int(video.stem), video))
+            movie_id = parse_int64(video.stem)
         except ValueError:
             raise ConfigError(f"video file name is not a movie id: {video}") from None
-    return out
+        if movie_id in by_id:
+            raise ConfigError(f"video files {by_id[movie_id]} and {video} name the same "
+                              f"movie {movie_id}")
+        by_id[movie_id] = video
+    return list(by_id.items())
 
 
 def _segment_key(cfg: PipelineConfig, args: StageArgs):
@@ -275,10 +273,6 @@ def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, list]:
     ]
 
 
-def _extract_key(cfg: PipelineConfig, args: StageArgs):
-    return {"segment": _manifest_digest(cfg, "segment")}, {}, None
-
-
 def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     segment_dir = cfg.cache_dir / "segment"
     by_movie: dict[int, list[tuple[int, str]]] = {}
@@ -319,10 +313,7 @@ def _movie_level(records: list[FeatureRecord], kind: AggregationKind,
 
 
 def _aggregate_key(cfg: PipelineConfig, args: StageArgs):
-    _require_stage(cfg, "segment")
-    inputs = {"extract": _manifest_digest(cfg, "extract")}
-    if cfg.embeddings is not None:
-        inputs.update(_config_inputs(cfg, "embeddings"))
+    inputs = {} if cfg.embeddings is None else _config_inputs(cfg, "embeddings")
     return inputs, {"agg_mpeg7": cfg.agg_mpeg7, "agg_dnn": cfg.agg_dnn}, None
 
 
@@ -357,21 +348,13 @@ def _records_to_matrix(records: list[FeatureRecord]) -> tuple[list[int], np.ndar
 
 
 def _fuse_key(cfg: PipelineConfig, args: StageArgs):
-    inputs = _config_inputs(cfg, "ratings")
-    inputs["aggregate"] = _manifest_digest(cfg, "aggregate")
-    if not (cfg.cache_dir / "aggregate" / "features" / "DNN.movies.bin").exists():
-        raise DependencyError(
-            "fuse needs movie-level DNN features; run 'aggregate' with an "
-            "embeddings file configured",
-            required_stage="aggregate",
-        )
-    return inputs, {"cca_k": cfg.cca_k, "cca_ridge": cfg.cca_ridge}, None
+    _family_feature_path(cfg, "dnn")  # aggregate writes it only with embeddings
+    return _config_inputs(cfg, "ratings"), {"cca_k": cfg.cca_k, "cca_ridge": cfg.cca_ridge}, None
 
 
 def _fuse_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    features = cfg.cache_dir / "aggregate" / "features"
-    m_ids, m_values = _records_to_matrix(read_feature_file(features / "MPEG7_ALL.movies.bin"))
-    d_ids, d_values = _records_to_matrix(read_feature_file(features / "DNN.movies.bin"))
+    m_ids, m_values = _records_to_matrix(read_feature_file(_family_feature_path(cfg, "mpeg7")))
+    d_ids, d_values = _records_to_matrix(read_feature_file(_family_feature_path(cfg, "dnn")))
     if m_ids != d_ids:
         raise AlignmentError("MPEG-7 and DNN movie-level files cover different movies")
 
@@ -433,8 +416,9 @@ def _textfeat_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> li
 
 
 def _family_feature_path(cfg: PipelineConfig, family: str) -> Path:
-    stage_dir = _require_stage(cfg, _FAMILY_STAGE[family])
-    path = stage_dir / "features" / f"{FAMILIES[family]}.movies.bin"
+    kind, stage = FAMILIES[family]
+    stage_dir = _require_stage(cfg, stage)
+    path = stage_dir / "features" / f"{kind}.movies.bin"
     if not path.exists():
         raise DependencyError(
             f"feature file for family {family!r} missing: {path}",
@@ -458,7 +442,7 @@ def load_family_matrix(cfg: PipelineConfig, family: str):
     R = R.with_items(universe)
     row_of = {m: i for i, m in enumerate(feat_ids)}
     aligned = values[[row_of[m] for m in universe]]
-    F = FeatureMatrix(family=FAMILIES[family], item_ids=tuple(universe), values=aligned)
+    F = FeatureMatrix(family=FAMILIES[family][0], item_ids=tuple(universe), values=aligned)
     return R, F
 
 
@@ -532,26 +516,39 @@ def _evaluate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> li
     return [path]
 
 
+# A stage needs only stages above it, so table order is a run order. train and
+# evaluate hash their family's feature file, not its stage's manifest, so
+# another family's parameters (lsa_rank for genre) leave them up to date.
 STAGES: dict[str, Stage] = {
     "segment": Stage(_segment_key, _segment_build),
-    "extract": Stage(_extract_key, _extract_build),
-    "aggregate": Stage(_aggregate_key, _aggregate_build),
-    "fuse": Stage(_fuse_key, _fuse_build),
+    "extract": Stage(lambda cfg, args: ({}, {}, None), _extract_build, needs=("segment",)),
+    # aggregate reads segment's keyframe manifest as well as extract's features
+    "aggregate": Stage(_aggregate_key, _aggregate_build, needs=("segment", "extract")),
+    "fuse": Stage(_fuse_key, _fuse_build, needs=("aggregate",)),
     "textfeat": Stage(_textfeat_key, _textfeat_build),
     "train": Stage(_train_key, _train_build),
     "evaluate": Stage(_evaluate_key, _evaluate_build),
 }
 
 
+def stages_for(families: tuple[str, ...]) -> list[str]:
+    """The stages that build the families' feature files, in table order."""
+    needed = {FAMILIES[family][1] for family in families}
+    for name in reversed(STAGES):
+        if name in needed:
+            needed.update(STAGES[name].needs)
+    return [name for name in STAGES if name in needed]
+
+
 def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
               force: bool = False, jobs: int = 1) -> list[Path]:
     """Run one stage through the cache; returns its outputs, or [] if up to date.
 
-    The old manifest is removed before the build and the new one written
-    after it, so a build that stops midway leaves no manifest behind. A
-    manifest that is not a JSON object counts as stale. Every cache key
-    hashes the seed, so a negative seed is rejected here, before any stage
-    runs.
+    A needed stage without a manifest is a DependencyError. The old
+    manifest is removed before the build and the new one written after it,
+    so a build that stops midway leaves no manifest behind. A manifest that
+    is not a JSON object counts as stale. Every cache key hashes the seed,
+    so a negative seed is rejected here, before any stage runs.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
@@ -560,7 +557,10 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     cfg.cache_dir = Path(cfg.cache_dir)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
     args = StageArgs(family=family, jobs=jobs)
-    inputs, params, variant = STAGES[stage].key(cfg, args)
+    inputs = {need: _digest_file(_manifest_path(_require_stage(cfg, need)))
+              for need in STAGES[stage].needs}
+    own_inputs, params, variant = STAGES[stage].key(cfg, args)
+    inputs.update(own_inputs)
     key = _cache_key(inputs, params, cfg.seed)
     stage_dir = cfg.cache_dir / stage
     manifest_file = _manifest_path(stage_dir, variant)

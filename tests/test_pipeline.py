@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import visrec
 from visrec import pipeline
 from visrec.cli import main
+from visrec.evaluation import make_splits
 from visrec.errors import (
     ConfigError,
     DependencyError,
@@ -77,16 +78,43 @@ class TestStageOrdering:
         with pytest.raises(DependencyError):
             run_stage("train", cfg, family="mpeg7")
 
-    def test_video_name_must_be_movie_id(self, mini, tmp_path):
-        videos = tmp_path / "videos"
-        shutil.copytree(mini.parent / "videos", videos)
-        shutil.copy(videos / "1.y4m", videos / "abc.y4m")
+    def test_fuse_requires_dnn_features(self, mini, tmp_path):
         cfg = load_cfg(mini)
-        cfg.videos_dir = videos
         cfg.cache_dir = tmp_path / "cache"
-        with pytest.raises(ConfigError, match="abc.y4m"):
-            run_stage("segment", cfg)
-        assert not (cfg.cache_dir / "segment").exists()
+        cfg.embeddings = None
+        for stage in ("segment", "extract", "aggregate"):
+            run_stage(stage, cfg)
+        with pytest.raises(DependencyError, match="'dnn'") as err:
+            run_stage("fuse", cfg)
+        assert err.value.required_stage == "aggregate"
+        assert not (cfg.cache_dir / "fuse").exists()
+
+    @pytest.mark.parametrize("families, stages", [
+        (PipelineConfig.families, ["segment", "extract", "aggregate", "fuse", "textfeat"]),
+        (("fused",), ["segment", "extract", "aggregate", "fuse"]),
+        (("tag-lsa", "dnn"), ["segment", "extract", "aggregate", "textfeat"]),
+        (("genre",), ["textfeat"]),
+    ], ids=["default", "fused", "tag-lsa-dnn", "genre"])
+    def test_stages_for_follows_needs_in_table_order(self, families, stages):
+        assert pipeline.stages_for(families) == stages
+
+    def test_video_name_must_be_movie_id(self, mini, tmp_path):
+        # (added file, its source, the files the error names)
+        for name, source, names in [
+            ("abc.y4m", "1.y4m", ["abc.y4m"]),
+            ("99999999999999999999.y4m", "1.y4m", ["99999999999999999999.y4m"]),
+            ("07.y4m", "7.y4m", ["07.y4m", "7.y4m"]),  # both are movie 7
+        ]:
+            videos = tmp_path / name / "videos"
+            shutil.copytree(mini.parent / "videos", videos)
+            shutil.copy(videos / source, videos / name)
+            cfg = load_cfg(mini)
+            cfg.videos_dir = videos
+            cfg.cache_dir = tmp_path / name / "cache"
+            with pytest.raises(ConfigError) as err:
+                run_stage("segment", cfg)
+            assert all(str(videos / named) in str(err.value) for named in names), name
+            assert not (cfg.cache_dir / "segment").exists()
 
 
 class TestCacheSemantics:
@@ -137,6 +165,35 @@ class TestCacheSemantics:
         manifest.write_text('{"key": ')
         assert run_stage("textfeat", cfg, force=True)
         assert manifest.read_bytes() == good
+
+    def test_eval_on_validation_ranks_the_validation_entries(self, mini, tmp_path, monkeypatch):
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
+        cfg.epochs = 1
+        run_stage("textfeat", cfg)
+        run_stage("evaluate", cfg, family="genre")
+        cfg.eval_on = "validation"
+        with pytest.raises(StaleCacheError):
+            run_stage("evaluate", cfg, family="genre")
+        ranked = []
+        collect = pipeline.collect_observations
+
+        def recording_collect(model, R_train, entries, **kwargs):
+            ranked.append(entries)
+            return collect(model, R_train, entries, **kwargs)
+
+        monkeypatch.setattr(pipeline, "collect_observations", recording_collect)
+        assert run_stage("evaluate", cfg, family="genre", force=True)
+        assert run_stage("evaluate", cfg, family="genre") == []
+        R, _ = pipeline.load_family_matrix(cfg, "genre")
+
+        def entries(idx):
+            return [(R.user_ids[R.entry_users[i]], R.item_ids[R.entry_items[i]],
+                     R.entry_ratings[i]) for i in idx]
+
+        splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
+        assert ranked == [entries(split.val_idx) for split in splits]
+        assert ranked != [entries(split.test_idx) for split in splits]
 
     def test_unknown_stage(self, mini):
         with pytest.raises(ConfigError):
@@ -437,6 +494,7 @@ class TestCli:
         invoke(cfg_path, "aggregate", "--agg-mpeg7", "average")
         manifest = json.loads((tmp_path / "cache" / "aggregate" / "manifest.json").read_text())
         assert manifest["params"]["agg_mpeg7"] == "average"
+        assert sorted(manifest["inputs"]) == ["embeddings", "extract", "segment"]
 
     def test_train_hyper_flags(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
@@ -448,6 +506,23 @@ class TestCli:
         assert manifest["params"]["epochs"] == 1
         assert manifest["params"]["alpha"] == 0.6
         assert (tmp_path / "cache" / "train" / "model_genre.bin").exists()
+
+    @pytest.mark.parametrize("families, dropped, stages", [
+        (["genre", "tag-lsa"], ["videos_dir", "embeddings"], ["textfeat"]),
+        (["mpeg7", "genre"], ["embeddings"], ["segment", "extract", "aggregate", "textfeat"]),
+    ], ids=["genre-tag-lsa", "mpeg7-genre"])
+    def test_run_all_builds_what_the_families_need(self, mini, tmp_path, families, dropped,
+                                                   stages):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        for key in dropped:
+            del cfg_data[key]
+        cfg_path.write_text(json.dumps({**cfg_data, "families": families, "epochs": 1}))
+        result = invoke(cfg_path, "run-all")
+        ran = [line.split(":")[0] for line in result.output.splitlines() if ": wrote " in line]
+        assert ran == stages + [f"evaluate {family}" for family in families]
+        built = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert built == sorted(stages + ["evaluate"])
 
     def test_evaluate_every_configured_family(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
