@@ -117,7 +117,12 @@ _INT64 = range(-2**63, 2**63)
 
 
 def parse_int64(text: str) -> int:
-    """An integer field; a ValueError when it does not fit int64."""
+    """An integer field: ASCII digits with an optional leading '-'. A
+    ValueError for any other text (a '+', spaces, '_' or non-ASCII digits,
+    all of which ``int`` would take) and for a value outside int64."""
+    if not (text.isascii()
+            and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
+        raise ValueError(f"{text!r} is not an integer of ASCII digits")
     value = int(text)
     if value not in _INT64:
         raise ValueError(f"{text!r} lies outside the int64 range")

@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package implementations: the DCT oracle is
 the O(N^4) double loop, the CCA oracle a multiresolution angular grid sweep,
-HSV quantization a scalar re-derivation, and so on. Two exceptions share
+HSV quantization a scalar re-derivation, and so on. Three exceptions share
 code with the package. The collective SLIM oracle shares the trainer's input
 preparation (column standardization and the negative sampler) and differs
 from it in how S is stored and updated: it trains on the standardized
@@ -11,6 +11,11 @@ of their Gram from a dense ``eigvalsh``. The HSV cell
 reference ``hsv_cells_float`` is the float whole-frame cell rule that
 ``shots.hsv_cell_indices`` replaced with integer arithmetic: it bins the
 package's own hexcone ``media.rgb_image_to_hsv``, which defines the cell ids.
+The primal CCA reference ``cca_primal_oracle`` is the covariance-space
+``fit_cca`` that whitening each view from its cheaper side replaced: it
+builds both d x d inverse square roots and the d1 x d2 whitened
+cross-covariance, and takes the package's ``CcaModel`` and default ridge
+factor.
 """
 
 import math
@@ -18,7 +23,15 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from visrec.errors import AlignmentError, DivergenceError, ParameterError
+from visrec.errors import (
+    AlignmentError,
+    DimensionError,
+    DivergenceError,
+    FormatError,
+    ParameterError,
+    SingularityError,
+)
+from visrec.fusion import DEFAULT_RIDGE_FACTOR, CcaModel
 from visrec.media import rgb_image_to_hsv
 from visrec.recsys import (
     FeatureMatrix,
@@ -264,6 +277,93 @@ def cca_correlations_oracle(X, Y, k):
         constraints_a.append(cxx @ a)
         constraints_b.append(cyy @ b)
     return np.array(corrs)
+
+
+# --- CCA in covariance space: both d x d inverse square roots ----------------
+
+def _inv_sqrt(cov: np.ndarray, ridge: float, side: str) -> np.ndarray:
+    reg = cov + ridge * np.eye(cov.shape[0])
+    eigvals, eigvecs = np.linalg.eigh(reg)
+    floor = max(eigvals.max(), 0.0) * 1e-12
+    if eigvals.min() <= floor:
+        raise SingularityError(
+            f"{side} covariance is singular; pass a positive ridge to regularize"
+        )
+    return eigvecs @ np.diag(eigvals ** -0.5) @ eigvecs.T
+
+
+def cca_primal_oracle(
+    X: np.ndarray,
+    Y: np.ndarray,
+    k: int | None = None,
+    ridge: float | None = None,
+) -> CcaModel:
+    """Fit CCA on row-aligned item matrices.
+
+    ridge=None picks a scale-aware default per view,
+    DEFAULT_RIDGE_FACTOR * trace(C)/d; ridge=0 demands full-rank covariances.
+    Values so large that a covariance overflows float64 raise FormatError.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or Y.ndim != 2:
+        raise DimensionError("CCA inputs must be 2-D matrices")
+    if X.shape[0] != Y.shape[0]:
+        raise AlignmentError(
+            f"views disagree on item count: {X.shape[0]} vs {Y.shape[0]}"
+        )
+    n, d1 = X.shape
+    d2 = Y.shape[1]
+    if n < 2:
+        raise ParameterError(f"CCA needs at least 2 items, got {n}")
+    max_k = min(d1, d2, n - 1)
+    if k is None:
+        k = max_k
+    if not 1 <= k <= max_k:
+        raise ParameterError(f"k must lie in [1, {max_k}], got {k}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x = X.mean(axis=0)
+        mean_y = Y.mean(axis=0)
+        Xc = X - mean_x
+        Yc = Y - mean_y
+        cxx = Xc.T @ Xc / (n - 1)
+        cyy = Yc.T @ Yc / (n - 1)
+        cxy = Xc.T @ Yc / (n - 1)
+        trace_x, trace_y = np.trace(cxx), np.trace(cyy)
+    for side, arrays in (("X", (cxx, trace_x)), ("Y", (cyy, trace_y, cxy))):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FormatError(f"{side} covariance overflows float64")
+
+    if ridge is None:
+        ridge_x = DEFAULT_RIDGE_FACTOR * trace_x / d1
+        ridge_y = DEFAULT_RIDGE_FACTOR * trace_y / d2
+    else:
+        if ridge < 0:
+            raise ParameterError(f"ridge must be nonnegative, got {ridge}")
+        ridge_x = ridge_y = float(ridge)
+
+    wx_white = _inv_sqrt(cxx, ridge_x, "X")
+    wy_white = _inv_sqrt(cyy, ridge_y, "Y")
+    u, d, vt = np.linalg.svd(wx_white @ cxy @ wy_white)
+    wx = wx_white @ u[:, :k]
+    wy = wy_white @ vt[:k].T
+    # deterministic sign: dominant coefficient of each wx column positive
+    for j in range(k):
+        pivot = np.abs(wx[:, j]).argmax()
+        if wx[pivot, j] < 0:
+            wx[:, j] = -wx[:, j]
+            wy[:, j] = -wy[:, j]
+    return CcaModel(
+        wx=wx,
+        wy=wy,
+        correlations=d[:k].copy(),
+        mean_x=mean_x,
+        mean_y=mean_y,
+        k=k,
+        ridge_x=float(ridge_x),
+        ridge_y=float(ridge_y),
+    )
 
 
 # --- cubic characteristic polynomial roots for a 3x3 Gram matrix ----------

@@ -7,6 +7,7 @@ from visrec.errors import DimensionError, FormatError, KindMismatchError
 from visrec.featureio import (
     FeatureRecord,
     FeatureVector,
+    parse_int64,
     read_feature_bin,
     read_feature_csv,
     read_feature_file,
@@ -82,7 +83,8 @@ class TestCsvFormat:
         with pytest.raises(KindMismatchError):
             write_feature_bin(tmp_path / "bad.bin", records)
 
-    @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD", "100000000000000000000,CLD"])
+    @pytest.mark.parametrize("row", ["abc,CLD", "1.5,CLD", "100000000000000000000,CLD",
+                                     "1_0,CLD", "+7,CLD"])
     def test_non_integer_movie_id_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         write_feature_csv(path, records_of("CLD", 120, [(1, None)]))
@@ -183,3 +185,20 @@ class TestKeyframeManifest:
         with pytest.raises(FormatError) as err:
             read_keyframe_manifest(path)
         assert "line 3" in str(err.value)
+
+
+class TestParseInt64:
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), ("-5", -5), ("0", 0), ("007", 7),
+        ("9223372036854775807", 2**63 - 1), ("-9223372036854775808", -2**63),
+    ])
+    def test_ascii_digits_with_optional_minus_parse(self, text, value):
+        assert parse_int64(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "+7", " 7 ", "7\n", "\u0667", "1_0", "-", "", "--5", "7.0", "\u00b2",
+        "9223372036854775808", "-9223372036854775809",
+    ])
+    def test_anything_else_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_int64(text)

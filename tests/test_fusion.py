@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from visrec.errors import (
 )
 from visrec.fusion import fit_cca, fuse_matrix
 
-from oracles import cca_correlations_oracle
+from oracles import cca_correlations_oracle, cca_primal_oracle
 
 
 def random_views(rng, n=40, d1=4, d2=3):
@@ -95,11 +97,62 @@ class TestFitCca:
         with pytest.raises(ParameterError):
             fit_cca(X, Y, k=10)
 
+    @pytest.mark.parametrize("n, d_x, d_y", [(10, 30, 3), (10, 12, 3)],
+                             ids=["svd-side", "eigh-side"])
+    def test_rank_deficient_view_named_without_ridge(self, rng, n, d_x, d_y):
+        # n <= d: the centred view has rank n - 1 < d, on either factorisation
+        wide, narrow = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
+        with pytest.raises(SingularityError, match="^X covariance is singular"):
+            fit_cca(wide, narrow, ridge=0.0)
+        with pytest.raises(SingularityError, match="^Y covariance is singular"):
+            fit_cca(narrow, wide, ridge=0.0)
+
     @pytest.mark.parametrize("scale", [1e200, 1e308])
     def test_overflowing_covariance_raises(self, rng, scale):
         X, Y = random_views(rng)
         with pytest.raises(FormatError, match="Y covariance overflows"):
             fit_cca(X, Y / np.abs(Y).max() * scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_x_covariance_raises(self, rng, scale):
+        X, Y = random_views(rng)
+        with pytest.raises(FormatError, match="X covariance overflows"):
+            fit_cca(X / np.abs(X).max() * scale, Y)
+
+    def test_few_items_build_no_dimension_squared_matrix(self, rng):
+        # paper widths, few items: a 774 x 1024 float64 matrix alone is 6.3 MB
+        X, Y = random_views(rng, n=8, d1=774, d2=1024)
+        tracemalloc.start()
+        try:
+            fit_cca(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestPrimalParity:
+    """fit_cca against the covariance-space fit it replaced, on views whitened
+    by the thin SVD (2n < d), by eigh, and one of each."""
+
+    @pytest.mark.parametrize("ridge", [None, 1e-2], ids=["default-ridge", "ridge-1e-2"])
+    @pytest.mark.parametrize("n, d1, d2", [(12, 60, 80), (40, 4, 3), (30, 40, 100)],
+                             ids=["svd-svd", "eigh-eigh", "eigh-svd"])
+    def test_matches_primal_oracle(self, rng, n, d1, d2, ridge):
+        X, Y = random_views(rng, n=n, d1=d1, d2=d2)
+        model = fit_cca(X, Y, ridge=ridge)
+        oracle = cca_primal_oracle(X, Y, ridge=ridge)
+        np.testing.assert_allclose(model.correlations, oracle.correlations, atol=1e-10)
+        assert model.ridge_x == pytest.approx(oracle.ridge_x, rel=1e-12)
+        assert model.ridge_y == pytest.approx(oracle.ridge_y, rel=1e-12)
+        # near-equal correlations leave their canonical directions free to
+        # rotate within the pair, so weights are compared only where they are
+        # well separated
+        if np.diff(oracle.correlations).max(initial=-np.inf) <= -1e-5:
+            np.testing.assert_allclose(model.wx, oracle.wx, rtol=1e-6)
+            np.testing.assert_allclose(model.wy, oracle.wy, rtol=1e-6)
+            np.testing.assert_allclose(fuse_matrix(model, X, Y),
+                                       fuse_matrix(oracle, X, Y), rtol=1e-6)
 
 
 class TestFuse:

@@ -366,6 +366,36 @@ class TestCli:
         assert type(result.exception) is SystemExit
         assert f"error: {bad} line 2" in result.output and "int64" in result.output
 
+    @pytest.mark.parametrize("name", ["+7.y4m", "1_0.y4m"])
+    def test_video_name_int_would_take_exits_with_config_code(self, mini, tmp_path, name):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        videos = tmp_path / "videos"
+        videos.mkdir()
+        shutil.copy(mini.parent / cfg_data["videos_dir"] / "1.y4m", videos / name)
+        cfg_data["videos_dir"] = str(videos)
+        cfg_path.write_text(json.dumps(cfg_data))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "segment"])
+        assert result.exit_code == ConfigError.exit_code
+        assert type(result.exception) is SystemExit
+        assert f"not a movie id: {videos / name}" in result.output
+        assert not (tmp_path / "cache" / "segment").exists()
+
+    def test_ratings_id_int_would_take_exits_with_format_code(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        bad = tmp_path / "ratings.csv"
+        bad.write_text("userId,movieId,rating,timestamp\n1,1_0,4.0,100\n")
+        cfg_data["ratings"] = str(bad)
+        cfg_path.write_text(json.dumps(cfg_data))
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path),
+                                           "train", "--features", "genre"])
+        assert result.exit_code == FormatError.exit_code
+        assert type(result.exception) is SystemExit
+        assert f"error: {bad} line 2" in result.output and "'1_0'" in result.output
+        assert not any((tmp_path / "cache" / "train").iterdir())
+
     @pytest.mark.parametrize("folds", [0, -1])
     def test_folds_below_one_exit_with_parameter_code(self, mini, tmp_path, folds):
         cfg_path = cli_config(mini, tmp_path)
