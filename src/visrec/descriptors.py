@@ -36,26 +36,60 @@ def _csd_subsample_factor(width: int, height: int) -> int:
     return 2 ** p
 
 
+# colors are dilated 8 to a byte plane and 8 planes at a time, so the work
+# memory stays a few bytes per lattice sample whatever the color count
+_CSD_PLANES_PER_CHUNK = 8
+
+
+def _window_or(planes: np.ndarray) -> np.ndarray:
+    """OR of every 8x8 window over the last two axes, indexed by the window's
+    top-left sample: shifts by 1, 2 and 4 along the columns, then the rows,
+    each doubling the span covered (7 shorter along both axes)."""
+    for shift in (1, 2, 4):
+        planes = planes[..., :-shift] | planes[..., shift:]
+    for shift in (1, 2, 4):
+        planes = planes[..., :-shift, :] | planes[..., shift:, :]
+    return planes
+
+
+def _bit_counts(plane: np.ndarray) -> list[int]:
+    """How many entries of a uint8 array have each bit set, bit 0 first."""
+    hist = np.bincount(plane.ravel(), minlength=256)
+    # value = high * 2^(b+1) + bit_b * 2^b + low
+    return [int(hist.reshape(-1, 2, 1 << b)[:, 1].sum()) for b in range(8)]
+
+
 def csd(frame: FrameBuffer) -> FeatureVector:
     """Counts, per HSV cell, the fraction of window placements in which the
     color occurs at least once. The window covers 8x8 samples spaced K pixels
-    apart and slides with stride K, K growing with frame area."""
+    apart and slides with stride K, K growing with frame area.
+
+    A window holds color c exactly when the 8x8 dilation of the mask
+    ``lattice == c`` covers its position, so the counts are those of the
+    dilated masks, computed by shifted ORs. The masks of the colors present
+    are packed 8 to a byte, bit ``i % 8`` of plane ``i // 8`` for the i-th.
+    """
     cells = hsv_cell_indices(frame)
     k = _csd_subsample_factor(frame.width, frame.height)
     lattice = cells[::k, ::k]
     hs, ws = lattice.shape
+    present = np.flatnonzero(np.bincount(lattice.ravel(), minlength=N_CELLS))
+    out = np.zeros(N_CELLS)
     if hs < 8 or ws < 8:
         # degenerate frame: one whole-frame window
-        present = np.unique(lattice)
-        out = np.zeros(N_CELLS)
         out[present] = 1.0
         return FeatureVector("CSD", out)
-    windows = np.lib.stride_tricks.sliding_window_view(lattice, (8, 8))
-    flat = windows.reshape(-1, 64)
-    n_windows = flat.shape[0]
-    presence = np.zeros((n_windows, N_CELLS), dtype=bool)
-    presence[np.arange(n_windows)[:, None], flat] = True
-    return FeatureVector("CSD", presence.sum(axis=0) / n_windows)
+    slot = np.arange(len(present))
+    bit_of = np.zeros((-(-len(present) // 8), N_CELLS), dtype=np.uint8)
+    bit_of[slot >> 3, present] = 1 << (slot & 7)
+    counts: list[int] = []
+    for start in range(0, len(bit_of), _CSD_PLANES_PER_CHUNK):
+        planes = bit_of[start : start + _CSD_PLANES_PER_CHUNK].take(lattice, axis=1)
+        for plane in _window_or(planes):
+            counts.extend(_bit_counts(plane))
+    n_windows = (hs - 7) * (ws - 7)
+    out[present] = np.array(counts[: len(present)]) / n_windows
+    return FeatureVector("CSD", out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +247,24 @@ def htd_center_frequency(scale: int) -> float:
 
 @lru_cache(maxsize=8)
 def _gabor_bank(height: int, width: int) -> np.ndarray:
-    """Polar-separable Gaussian frequency responses, DC forced to zero.
+    """Polar-separable Gaussian frequency responses, DC forced to zero, on
+    the ``width // 2 + 1`` non-negative column frequencies of ``rfft2``.
 
     Radial sigma puts neighboring octave-spaced filters at half-peak overlap;
-    angular sigma does the same for the 30-degree orientation step. Filters
-    are symmetric under point reflection so spatial responses stay real.
+    angular sigma does the same for the 30-degree orientation step. Each
+    filter g is stored symmetrised, ``(g(f) + g(-f)) / 2``: for a real image
+    the real part of the complex inverse transform of ``spectrum * g`` is
+    the real inverse transform of ``spectrum`` times that filter. g is
+    symmetric under point reflection except on the Nyquist row or column of
+    an even size, where ``fftfreq`` gives -0.5 at both ends.
     """
     fy = np.fft.fftfreq(height)[:, None]
     fx = np.fft.fftfreq(width)[None, :]
     omega = np.hypot(fx, fy)
     theta = np.arctan2(fy, fx)
     sigma_theta = (math.pi / 12.0) / _HALF_PEAK
-    bank = np.empty((HTD_SCALES * HTD_ORIENTATIONS, height, width))
+    half = width // 2 + 1
+    bank = np.empty((HTD_SCALES * HTD_ORIENTATIONS, height, half))
     for s in range(HTD_SCALES):
         f0 = htd_center_frequency(s)
         sigma_f = f0 / (3.0 * _HALF_PEAK)
@@ -234,7 +274,9 @@ def _gabor_bank(height: int, width: int) -> np.ndarray:
             dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
             g = radial * np.exp(-0.5 * (dtheta / sigma_theta) ** 2)
             g[0, 0] = 0.0
-            bank[s * HTD_ORIENTATIONS + r] = g
+            # g at -f: index (-i mod height, -j mod width)
+            mirrored = np.roll(g[::-1, ::-1], 1, axis=(0, 1))
+            bank[s * HTD_ORIENTATIONS + r] = 0.5 * (g[:, :half] + mirrored[:, :half])
     bank.setflags(write=False)
     return bank
 
@@ -243,12 +285,12 @@ def htd(frame: FrameBuffer) -> FeatureVector:
     if frame.width < 32 or frame.height < 32:
         raise SizeError(f"HTD needs at least 32x32 pixels, got {frame.width}x{frame.height}")
     y = luma(frame)
-    spectrum = np.fft.fft2(y)
+    spectrum = np.fft.rfft2(y)
     bank = _gabor_bank(frame.height, frame.width)
     energies = np.empty(HTD_SCALES * HTD_ORIENTATIONS)
     deviations = np.empty_like(energies)
     for idx in range(bank.shape[0]):
-        response = np.fft.ifft2(spectrum * bank[idx]).real
+        response = np.fft.irfft2(spectrum * bank[idx], s=y.shape)
         power = response ** 2
         energies[idx] = math.log1p(power.mean())
         deviations[idx] = math.log1p(power.std())

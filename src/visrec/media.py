@@ -10,11 +10,15 @@ BT.601 weights are applied) and ``rgb_image_to_hsv`` (the hexcone).
 of ``shots.hsv_cell_indices`` are defined by this hexcone: that quantizer
 runs in integer arithmetic, but it builds its S and V tables with
 ``rgb_image_to_hsv`` and calls it for the pixels whose exact hue lies on a
-bin edge, so its ids equal the binned float hexcone's.
+bin edge, so its ids equal the binned float hexcone's. The BT.601 inverse
+is ``_ycbcr_to_rgb_float``; ``ycbcr_planes_to_rgb`` decodes from tables
+built by it and calls it for the pixels whose G lies on a rounding tie, so
+its pixels equal the rounded float rule's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,16 +97,78 @@ def rgb_to_ycbcr_planes(pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, cb, cr
 
 
-def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Invert the full-range BT.601 transform on full-resolution planes."""
-    y = y.astype(np.float64)
-    db = (cb.astype(np.float64) - 128.0) * (2.0 * (1.0 - _KB))
-    dr = (cr.astype(np.float64) - 128.0) * (2.0 * (1.0 - _KR))
+def _ycbcr_to_rgb_float(y, cb, cr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full-range BT.601 inverse of (Y, Cb, Cr) values, unrounded."""
+    y = np.asarray(y, dtype=np.float64)
+    db = (np.asarray(cb, dtype=np.float64) - 128.0) * (2.0 * (1.0 - _KB))
+    dr = (np.asarray(cr, dtype=np.float64) - 128.0) * (2.0 * (1.0 - _KR))
     r = y + dr
     b = y + db
     g = (y - _KR * r - _KB * b) / _KG
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    return r, g, b
+
+
+def _to_uint8(values: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of ``_ycbcr_to_rgb_float`` over every pair of 8-bit values,
+    built on first use, so importing the package builds none.
+
+    R depends on (Y, Cr) alone and B on (Y, Cb) alone: their 8-bit values,
+    indexed ``[y, cr]`` and ``[y, cb]``. G is Y plus a term in (Cb, Cr),
+    tabulated rounded, indexed ``[cb, cr]``: ``rint(y + t) == y + rint(t)``
+    for integer y unless t lies on a half-integer, where the float rule's
+    own rounding error decides. ``G - Y`` is a multiple of 1/587000 (the
+    BT.601 weights are exact thousandths), so it is either on a half-integer
+    or at least 3e-5 from one, far outside the float rule's ~1e-13 error:
+    the ``[cb, cr]`` tie mask is the pairs within 1e-6 of a half-integer.
+    """
+    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    r, _, blue = _ycbcr_to_rgb_float(a, b, b)
+    _, g_minus_y, _ = _ycbcr_to_rgb_float(0, a, b)
+    tie = np.abs(g_minus_y - np.floor(g_minus_y) - 0.5) < 1e-6
+    tables = (_to_uint8(r), _to_uint8(blue), np.rint(g_minus_y).astype(np.int16), tie)
+    for table in tables:
+        table.setflags(write=False)  # every caller shares them
+    return tables
+
+
+def ycbcr_planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Invert the full-range BT.601 transform of 8-bit planes, rounding and
+    clipping each channel to 8 bits. ``cb`` and ``cr`` may be subsampled by
+    a whole factor along each axis; each chroma sample then covers a block
+    of luma samples (upsampling by sample replication).
+
+    Every pixel equals ``_ycbcr_to_rgb_float`` rounded and clipped, but it
+    is computed from ``_decode_tables``: R and B by table lookup, G as Y
+    plus its rounded chroma term, looked up at chroma resolution. The few
+    (Cb, Cr) pairs whose chroma term lies on a half-integer take G from the
+    float rule.
+    """
+    table_r, table_b, table_g, tie = _decode_tables()
+    h, w = y.shape
+    fy, fx = h // cb.shape[0], w // cb.shape[1]
+
+    def upsample(plane: np.ndarray) -> np.ndarray:
+        return plane.repeat(fy, axis=0).repeat(fx, axis=1)
+
+    chroma = (cb.astype(np.intp) << 8) | cr
+    y_hi = y.astype(np.intp) << 8
+    cb_up, cr_up = upsample(cb), upsample(cr)
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    rgb[..., 0] = table_r.ravel().take(y_hi | cr_up)
+    rgb[..., 2] = table_b.ravel().take(y_hi | cb_up)
+    g = upsample(table_g.ravel().take(chroma)) + y
+    np.clip(g, 0, 255, out=g)
+    rgb[..., 1] = g
+    on_tie = tie.ravel().take(chroma)
+    if on_tie.any():
+        at = upsample(on_tie)
+        rgb[..., 1][at] = _to_uint8(_ycbcr_to_rgb_float(y[at], cb_up[at], cr_up[at])[1])
+    return rgb
 
 
 def hsv_to_rgb(h: float, s: float, v: float) -> tuple[int, int, int]:
@@ -238,12 +304,6 @@ def parse_y4m(data: bytes) -> FrameStream:
         y = np.frombuffer(payload, dtype=np.uint8, count=y_size).reshape(height, width)
         cb = np.frombuffer(payload, dtype=np.uint8, count=c_size, offset=y_size).reshape(ch, cw)
         cr = np.frombuffer(payload, dtype=np.uint8, count=c_size, offset=y_size + c_size).reshape(ch, cw)
-        if chroma == "420":
-            cb = cb.repeat(2, axis=0).repeat(2, axis=1)
-            cr = cr.repeat(2, axis=0).repeat(2, axis=1)
-        elif chroma == "422":
-            cb = cb.repeat(2, axis=1)
-            cr = cr.repeat(2, axis=1)
         frames.append(FrameBuffer(ycbcr_planes_to_rgb(y, cb, cr)))
         pos += y_size + 2 * c_size
     return FrameStream(frames=frames, frame_rate=frame_rate)

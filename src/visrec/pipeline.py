@@ -215,6 +215,11 @@ class Stage(NamedTuple):
     needs: tuple[str, ...] = ()
 
 
+def _in_file(exc: FormatError, path) -> FormatError:
+    """The same error class, its message prefixed with the file it is about."""
+    return type(exc)(f"{path}: {exc}")
+
+
 def _videos(cfg: PipelineConfig) -> list[tuple[int, Path]]:
     videos = sorted(Path(cfg.videos_dir).glob("*.y4m"))
     if not videos:
@@ -246,7 +251,10 @@ def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
     outputs = []
     manifest_entries = []
     for movie_id, video in _videos(cfg):
-        stream = parse_y4m(video.read_bytes())
+        try:
+            stream = parse_y4m(video.read_bytes())
+        except FormatError as exc:
+            raise _in_file(exc, video) from None
         shots = detect_shots(stream, threshold=cfg.threshold)
         shots_csv = shots_dir / f"{movie_id}.csv"
         shots_csv.write_text(shots_to_csv(shots))
@@ -267,10 +275,14 @@ def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
 def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, list]:
     """Worker: the 774-element MPEG-7 vector of every keyframe of one movie."""
     movie_id, keyframes = args
-    return movie_id, [
-        (kf, descriptors.mpeg7_all(parse_ppm(Path(ppm_path).read_bytes())))
-        for kf, ppm_path in keyframes
-    ]
+    vectors = []
+    for kf, ppm_path in keyframes:
+        try:
+            frame = parse_ppm(Path(ppm_path).read_bytes())
+        except FormatError as exc:
+            raise _in_file(exc, ppm_path) from None
+        vectors.append((kf, descriptors.mpeg7_all(frame)))
+    return movie_id, vectors
 
 
 def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
@@ -308,7 +320,7 @@ def _movie_level(records: list[FeatureRecord], kind: AggregationKind,
         try:
             out.append(FeatureRecord(movie_id, None, aggregate(vectors, kind)))
         except FormatError as exc:
-            raise FormatError(f"{source}: movie {movie_id}: {exc}") from None
+            raise _in_file(exc, f"{source}: movie {movie_id}") from None
     return out
 
 
@@ -457,7 +469,7 @@ def _train(cfg: PipelineConfig, family: str, R, F):
     try:
         return train_collective_slim(R, F, _train_config(cfg))
     except FormatError as exc:
-        raise FormatError(f"{_family_feature_path(cfg, family)}: {exc}") from None
+        raise _in_file(exc, _family_feature_path(cfg, family)) from None
 
 
 def _train_key(cfg: PipelineConfig, args: StageArgs):

@@ -16,6 +16,13 @@ The primal CCA reference ``cca_primal_oracle`` is the covariance-space
 builds both d x d inverse square roots and the d1 x d2 whitened
 cross-covariance, and takes the package's ``CcaModel`` and default ridge
 factor.
+The three kernel references keep the implementations that the trailer
+kernels replaced, verbatim: ``csd_presence_oracle`` fills the window x color
+presence matrix, ``htd_complex_oracle`` filters the complex ``fft2`` with
+the unsymmetrised full-plane Gabor bank and keeps the real part of each
+``ifft2``, and ``ycbcr_planes_to_rgb_oracle`` runs the float BT.601 inverse
+on every pixel. They share the package's HSV quantizer, CSD subsample
+factor, luma and HTD constants.
 """
 
 import math
@@ -23,6 +30,13 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from visrec.descriptors import (
+    _HALF_PEAK,
+    HTD_ORIENTATIONS,
+    HTD_SCALES,
+    _csd_subsample_factor,
+    htd_center_frequency,
+)
 from visrec.errors import (
     AlignmentError,
     DimensionError,
@@ -32,7 +46,7 @@ from visrec.errors import (
     SingularityError,
 )
 from visrec.fusion import DEFAULT_RIDGE_FACTOR, CcaModel
-from visrec.media import rgb_image_to_hsv
+from visrec.media import _KB, _KG, _KR, luma, rgb_image_to_hsv
 from visrec.recsys import (
     FeatureMatrix,
     InteractionMatrix,
@@ -41,6 +55,7 @@ from visrec.recsys import (
     sample_negative,
     standardize_columns,
 )
+from visrec.shots import N_CELLS, hsv_cell_indices
 
 
 # --- scalar HSV quantization (mirrors the spec'd binning, written longhand) --
@@ -167,6 +182,75 @@ def csd_oracle(cell_grid, n_cells=256, window=8, stride=1):
                 counts[cell] += 1
             placements += 1
     return counts / placements
+
+
+# --- the trailer kernels the package replaced, kept verbatim ----------------
+
+def csd_presence_oracle(frame) -> np.ndarray:
+    """CSD from the n_windows x 256 boolean presence matrix."""
+    cells = hsv_cell_indices(frame)
+    k = _csd_subsample_factor(frame.width, frame.height)
+    lattice = cells[::k, ::k]
+    hs, ws = lattice.shape
+    if hs < 8 or ws < 8:
+        # degenerate frame: one whole-frame window
+        present = np.unique(lattice)
+        out = np.zeros(N_CELLS)
+        out[present] = 1.0
+        return out
+    windows = np.lib.stride_tricks.sliding_window_view(lattice, (8, 8))
+    flat = windows.reshape(-1, 64)
+    n_windows = flat.shape[0]
+    presence = np.zeros((n_windows, N_CELLS), dtype=bool)
+    presence[np.arange(n_windows)[:, None], flat] = True
+    return presence.sum(axis=0) / n_windows
+
+
+def _gabor_bank_full(height: int, width: int) -> np.ndarray:
+    fy = np.fft.fftfreq(height)[:, None]
+    fx = np.fft.fftfreq(width)[None, :]
+    omega = np.hypot(fx, fy)
+    theta = np.arctan2(fy, fx)
+    sigma_theta = (math.pi / 12.0) / _HALF_PEAK
+    bank = np.empty((HTD_SCALES * HTD_ORIENTATIONS, height, width))
+    for s in range(HTD_SCALES):
+        f0 = htd_center_frequency(s)
+        sigma_f = f0 / (3.0 * _HALF_PEAK)
+        radial = np.exp(-0.5 * ((omega - f0) / sigma_f) ** 2)
+        for r in range(HTD_ORIENTATIONS):
+            theta0 = math.pi * r / HTD_ORIENTATIONS
+            dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
+            g = radial * np.exp(-0.5 * (dtheta / sigma_theta) ** 2)
+            g[0, 0] = 0.0
+            bank[s * HTD_ORIENTATIONS + r] = g
+    return bank
+
+
+def htd_complex_oracle(frame) -> np.ndarray:
+    """HTD from the complex fft2 and the real part of one ifft2 per filter."""
+    y = luma(frame)
+    spectrum = np.fft.fft2(y)
+    bank = _gabor_bank_full(frame.height, frame.width)
+    energies = np.empty(HTD_SCALES * HTD_ORIENTATIONS)
+    deviations = np.empty_like(energies)
+    for idx in range(bank.shape[0]):
+        response = np.fft.ifft2(spectrum * bank[idx]).real
+        power = response ** 2
+        energies[idx] = math.log1p(power.mean())
+        deviations[idx] = math.log1p(power.std())
+    return np.concatenate([[y.mean(), y.std()], energies, deviations])
+
+
+def ycbcr_planes_to_rgb_oracle(y, cb, cr) -> np.ndarray:
+    """The float BT.601 inverse on full-resolution planes, rounded and clipped."""
+    y = y.astype(np.float64)
+    db = (cb.astype(np.float64) - 128.0) * (2.0 * (1.0 - _KB))
+    dr = (cr.astype(np.float64) - 128.0) * (2.0 * (1.0 - _KR))
+    r = y + dr
+    b = y + db
+    g = (y - _KR * r - _KB * b) / _KG
+    rgb = np.stack([r, g, b], axis=-1)
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
 # --- CCA: multiresolution angular grid sweep with hand-rolled deflation ----

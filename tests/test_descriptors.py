@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,26 @@ from visrec.media import FrameBuffer, luma
 from visrec.shots import hsv_cell_indices
 
 from conftest import random_frame, solid_frame
-from oracles import csd_oracle, dct2_oracle, ehd_oracle, hsv_bin_scalar
+from oracles import (
+    csd_oracle,
+    csd_presence_oracle,
+    dct2_oracle,
+    ehd_oracle,
+    hsv_bin_scalar,
+    htd_complex_oracle,
+)
+
+
+def palette_frame(rng, height, width, colors, block=8):
+    """Blocks of ``colors`` random RGB colors, the few-color keyframe shape."""
+    palette = rng.integers(0, 256, size=(colors, 3), dtype=np.uint8)
+    rows, cols = -(-height // block), -(-width // block)
+    idx = rng.integers(0, colors, size=(rows, cols)).repeat(block, 0).repeat(block, 1)
+    return FrameBuffer(palette[idx[:height, :width]])
+
+
+def noise_frame(rng, height, width):
+    return FrameBuffer(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
 
 
 class TestScd:
@@ -87,6 +107,42 @@ class TestCsd:
     def test_tiny_frame_whole_window_fallback(self):
         v = csd(solid_frame((0, 255, 0), 4, 4)).values
         assert v.max() == 1.0 and v.sum() == 1.0
+
+    @pytest.mark.parametrize("height, width, colors", [
+        (240, 320, 6), (97, 131, 3), (64, 97, 40), (8, 8, 2), (256, 512, 12),
+    ])
+    def test_few_colors_equal_presence_matrix(self, rng, height, width, colors):
+        frame = palette_frame(rng, height, width, colors)
+        np.testing.assert_array_equal(csd(frame).values, csd_presence_oracle(frame))
+
+    @pytest.mark.parametrize("height, width", [(240, 320), (97, 131), (9, 200)])
+    def test_noise_equal_presence_matrix(self, rng, height, width):
+        frame = noise_frame(rng, height, width)
+        np.testing.assert_array_equal(csd(frame).values, csd_presence_oracle(frame))
+
+    def test_subsampled_lattice_equal_presence_matrix(self, rng):
+        frame = noise_frame(rng, 256, 512)
+        assert _csd_subsample_factor(512, 256) == 2
+        assert len(np.unique(hsv_cell_indices(frame)[::2, ::2])) > 200
+        np.testing.assert_array_equal(csd(frame).values, csd_presence_oracle(frame))
+
+    @pytest.mark.parametrize("height, width", [(7, 40), (40, 5), (3, 3)])
+    def test_degenerate_lattice_equal_presence_matrix(self, rng, height, width):
+        frame = noise_frame(rng, height, width)
+        np.testing.assert_array_equal(csd(frame).values, csd_presence_oracle(frame))
+
+    def test_all_colors_frame_allocates_far_less_than_presence_matrix(self, rng):
+        frame = noise_frame(rng, 240, 320)
+        assert len(np.unique(hsv_cell_indices(frame))) == 256
+        csd(frame)  # warm any lazy state outside the measurement
+        tracemalloc.start()
+        try:
+            csd(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        presence_bytes = (240 - 7) * (320 - 7) * 256  # 18.7 MB of bools
+        assert peak < presence_bytes / 4
 
 
 class TestCld:
@@ -235,6 +291,13 @@ class TestHtd:
     def test_too_small_frame(self):
         with pytest.raises(SizeError):
             htd(solid_frame((0, 0, 0), 16, 16))
+
+    @pytest.mark.parametrize("height, width", [(240, 320), (32, 32), (97, 131), (33, 47),
+                                               (64, 97), (97, 64)])
+    def test_real_fft_matches_complex_fft(self, rng, height, width):
+        for frame in (noise_frame(rng, height, width), palette_frame(rng, height, width, 6)):
+            np.testing.assert_allclose(htd(frame).values, htd_complex_oracle(frame),
+                                       rtol=0, atol=1e-12)
 
 
 class TestMpeg7All:

@@ -17,9 +17,11 @@ from visrec.media import (
     rgb_to_ycbcr_planes,
     write_ppm,
     write_y4m,
+    ycbcr_planes_to_rgb,
 )
 
 from conftest import random_frame, solid_frame
+from oracles import ycbcr_planes_to_rgb_oracle
 
 
 def y4m_bytes(header: str, frames: list[bytes]) -> bytes:
@@ -86,6 +88,37 @@ class TestParseY4m:
         back = parse_y4m(write_y4m(stream, chroma="444"))
         for orig, rt in zip(frames, back.frames):
             assert np.abs(orig.pixels.astype(int) - rt.pixels.astype(int)).max() <= 1
+
+
+class TestYcbcrDecode:
+    """The table decode equals the float BT.601 inverse on every pixel."""
+
+    def test_every_triple_matches_float_rule(self):
+        cb, cr = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8),
+                             indexing="ij")
+        rows = 8  # luma values per chunk: 8 * 65,536 triples
+        cb, cr = np.tile(cb, (rows, 1)), np.tile(cr, (rows, 1))
+        for first in range(0, 256, rows):
+            y = np.arange(first, first + rows, dtype=np.uint8).repeat(256 * 256).reshape(cb.shape)
+            np.testing.assert_array_equal(ycbcr_planes_to_rgb(y, cb, cr),
+                                          ycbcr_planes_to_rgb_oracle(y, cb, cr))
+
+    @pytest.mark.parametrize("chroma, fy, fx", [("420", 2, 2), ("422", 1, 2), ("444", 1, 1)])
+    def test_stream_matches_float_rule(self, rng, chroma, fy, fx):
+        h, w = 12, 16
+        planes = []
+        for _ in range(3):
+            y = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            cb, cr = rng.integers(0, 256, size=(2, h // fy, w // fx), dtype=np.uint8)
+            # the (Cb, Cr) pairs whose G - Y lies on a half-integer
+            cb[0, :2], cr[0, :2] = (78, 178), (178, 78)
+            planes.append((y, cb, cr))
+        data = y4m_bytes(f"YUV4MPEG2 W{w} H{h} C{chroma}",
+                         [b"".join(p.tobytes() for p in frame) for frame in planes])
+        stream = parse_y4m(data)
+        for (y, cb, cr), frame in zip(planes, stream.frames, strict=True):
+            full = [c.repeat(fy, axis=0).repeat(fx, axis=1) for c in (cb, cr)]
+            np.testing.assert_array_equal(frame.pixels, ycbcr_planes_to_rgb_oracle(y, *full))
 
 
 class TestParsePpm:

@@ -20,6 +20,7 @@ from visrec.errors import (
     MissingUserError,
     ParameterError,
     StaleCacheError,
+    TruncationError,
 )
 from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
 from visrec.minidata import generate
@@ -230,6 +231,19 @@ class TestStageOutputs:
             cfg.cache_dir / "aggregate" / "features" / "DNN.movies.bin"
         )
         assert all(len(r.vector) == 1024 for r in dnn)
+
+    def test_extract_pool_writes_the_same_bytes(self, mini, tmp_path):
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache1"
+        run_stage("segment", cfg)
+        shutil.copytree(cfg.cache_dir, tmp_path / "cache2")
+        features = []
+        for jobs, cache in ((1, "cache1"), (2, "cache2")):
+            cfg.cache_dir = tmp_path / cache
+            run_stage("extract", cfg, jobs=jobs)
+            features.append((cfg.cache_dir / "extract" / "features"
+                             / "MPEG7_ALL.keyframes.bin").read_bytes())
+        assert features[0] == features[1]
 
     def test_fuse_and_textfeat_and_train(self, mini):
         cfg = load_cfg(mini)
@@ -504,6 +518,34 @@ class TestCli:
         manifest = "manifest_dnn.json" if stage == "train" else "manifest.json"
         assert not (tmp_path / "cache" / stage / manifest).exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_truncated_keyframe_exits_naming_the_file(self, mini, tmp_path, jobs):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "segment")
+        ppm = sorted((tmp_path / "cache" / "segment" / "keyframes" / "3").glob("*.ppm"))[0]
+        ppm.write_bytes(ppm.read_bytes()[:100])
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs, "extract"])
+        assert result.exit_code == TruncationError.exit_code == 7
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "Traceback" not in result.output
+        assert f"error: {ppm}: PPM payload holds 87 bytes" in result.output
+        assert not (tmp_path / "cache" / "extract" / "manifest.json").exists()
+
+    def test_truncated_video_exits_naming_the_file(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        videos = shutil.copytree(mini.parent / "videos", tmp_path / "videos")
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "videos_dir": str(videos)}))
+        invoke(cfg_path, "segment")
+        video = videos / "2.y4m"
+        video.write_bytes(video.read_bytes()[:-10])
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--force", "segment"])
+        assert result.exit_code == TruncationError.exit_code
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "Traceback" not in result.output
+        assert f"error: {video}: frame " in result.output and "payload truncated" in result.output
+        assert not (tmp_path / "cache" / "segment" / "manifest.json").exists()
+
     @pytest.mark.parametrize("text", ['{"key": ', "[]"], ids=["truncated", "not-an-object"])
     def test_unreadable_manifest_exits_with_stale_code(self, mini, tmp_path, text):
         cfg_path = cli_config(mini, tmp_path)
@@ -648,20 +690,34 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
 
-def fresh_cli_lines(*cli_args) -> list[str]:
+# Imports the CLI in a fresh interpreter, then prints the size of each table
+# cache that is filled on first use.
+_COUNT_TABLES = """
+import visrec.cli
+from visrec import descriptors, media, shots
+print([f.cache_info().currsize
+       for f in (media._decode_tables, descriptors._gabor_bank, shots._sv_table)])
+"""
+
+
+def fresh_cli_lines(*cli_args, script=_LIST_SCIPY) -> list[str]:
     src = str(Path(visrec.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *cli_args],
+    proc = subprocess.run([sys.executable, "-c", script, *cli_args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
 class TestColdPath:
-    """Serving loads numpy and click but no scipy module."""
+    """Serving loads numpy and click but no scipy module, and builds no
+    decode, Gabor or HSV table."""
 
     def test_import_cli_loads_no_scipy(self):
         assert fresh_cli_lines()[-1] == "[]"
+
+    def test_import_cli_builds_no_table(self):
+        assert fresh_cli_lines(script=_COUNT_TABLES) == ["[0, 0, 0]"]
 
     def test_recommend_run_loads_no_scipy(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
