@@ -16,6 +16,10 @@ from .featureio import FeatureVector
 from .media import FrameBuffer, luma, rgb_to_ycbcr_planes
 from .shots import N_CELLS, frame_histogram, hsv_cell_indices
 
+# The descriptors' revision, part of extract's cache key: raise it whenever a
+# descriptor's output changes, so a cache of the old vectors is stale.
+VERSION = 1
+
 
 # ---------------------------------------------------------------------------
 # SCD: normalized HSV histogram, 16x4x4 cells, H-major

@@ -49,10 +49,6 @@ class TruncationError(FormatError):
     exit_code = 7
 
 
-class UnsupportedDepthError(FormatError):
-    exit_code = 8
-
-
 class EmptyInputError(ToolkitError):
     exit_code = 9
 

@@ -200,14 +200,15 @@ def write_arrays(path: str | Path, tag: str, attrs: dict, **arrays) -> None:
     """Write the container every binary artifact of the toolkit uses: an 8-byte
     magic, a little-endian u32 header length, a JSON header naming the tag,
     the scalar attrs and each array's name, dtype and shape, then the arrays'
-    bytes in header order, integer ones as ``<i8`` and all others ``<f8``.
-    An array that is not numeric, such as integers too large for int64, is a
-    FormatError and nothing is written."""
+    bytes in header order: uint8 ones as ``|u1``, other integer ones as
+    ``<i8`` and all others ``<f8``. An array that is not numeric, such as
+    integers too large for int64, is a FormatError and nothing is written."""
     arrays = {k: np.asarray(a) for k, a in arrays.items()}
     for name, a in arrays.items():
         if a.dtype.kind not in "biuf":
             raise FormatError(f"{path}: array {name!r} of dtype {a.dtype} is not numeric")
-    arrays = {k: a.astype("<i8" if a.dtype.kind in "iu" else "<f8", copy=False)
+    arrays = {k: a.astype("|u1" if a.dtype == np.uint8 else "<i8" if a.dtype.kind in "iu"
+                          else "<f8", copy=False)
               for k, a in arrays.items()}
     specs = [{"name": k, "dtype": a.dtype.str, "shape": list(a.shape)} for k, a in arrays.items()]
     header = json.dumps({"tag": tag, "attrs": attrs, "arrays": specs}, sort_keys=True).encode()
@@ -232,6 +233,8 @@ def _header_ok(header, tag: str, attrs: dict[str, type], arrays: dict[str, str])
         for symbol, d in zip(symbols, spec["shape"]):
             if type(d) is not int or d < 0 or dims.setdefault(symbol, d) != d:
                 return False
+            if symbol.isdigit() and d != int(symbol):
+                return False
     return True
 
 
@@ -241,7 +244,8 @@ def read_arrays(
     """Read a container file: its attrs and read-only views of its arrays.
 
     ``attrs`` maps each attr name to its type and ``arrays`` each array name,
-    in file order, to its dtype and a symbol per dimension (``"<f8 n n"``).
+    in file order, to its dtype and a symbol per dimension (``"<f8 n n"``);
+    a digit symbol is that dimension's length (``"|u1 h w 3"``).
     Any fault raises FormatError, at offset 0 without the magic and at the
     file length when cut.
     """
@@ -260,15 +264,16 @@ def read_arrays(
     if not ok:
         raise FormatError(f"{path}: not a {tag!r} file with attrs {sorted(attrs)} and "
                           f"arrays {arrays}", offset=start)
-    sizes = [8 * math.prod(spec["shape"]) for spec in header["arrays"]]
-    if len(data) != end + sum(sizes):
+    dtypes = [np.dtype(spec["dtype"]) for spec in header["arrays"]]
+    counts = [math.prod(spec["shape"]) for spec in header["arrays"]]
+    size = sum(dtype.itemsize * count for dtype, count in zip(dtypes, counts))
+    if len(data) != end + size:
         raise FormatError(f"{path}: file holds {len(data)} bytes, header implies "
-                          f"{end + sum(sizes)}", offset=min(len(data), end + sum(sizes)))
+                          f"{end + size}", offset=min(len(data), end + size))
     out, pos = {}, end
-    for spec, size in zip(header["arrays"], sizes):
-        array = np.frombuffer(data, spec["dtype"], size // 8, pos)
-        out[spec["name"]] = array.reshape(spec["shape"])
-        pos += size
+    for spec, dtype, count in zip(header["arrays"], dtypes, counts):
+        out[spec["name"]] = np.frombuffer(data, dtype, count, pos).reshape(spec["shape"])
+        pos += dtype.itemsize * count
     return header["attrs"], out
 
 

@@ -1,4 +1,4 @@
-"""Frame-stream parsing (Y4M, binary PPM) and the color conversions used downstream.
+"""Frame-stream parsing (Y4M) and the color conversions used downstream.
 
 All YCbCr math is BT.601 full range (the MPEG-7-era convention): Y, Cb, Cr
 each span the full 0..255 interval, no studio-swing headroom.
@@ -24,12 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    FormatError,
-    TruncationError,
-    UnsupportedDepthError,
-)
+from .errors import EmptyInputError, FormatError, TruncationError
 
 # BT.601 luma weights.
 _KR, _KG, _KB = 0.299, 0.587, 0.114
@@ -244,6 +239,14 @@ def _chroma_shape(mode: str, width: int, height: int) -> tuple[int, int]:
     return height, width
 
 
+def _header_number(text: str) -> int:
+    """A stream header number: ASCII digits only, which ``int`` alone does not
+    require (it also takes a sign, '_' and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number of ASCII digits")
+    return int(text)
+
+
 def parse_y4m(data: bytes) -> FrameStream:
     """Decode a YUV4MPEG2 byte stream into RGB frames.
 
@@ -264,17 +267,19 @@ def parse_y4m(data: bytes) -> FrameStream:
         key, val = tag[:1], tag[1:]
         try:
             if key == "W":
-                width = int(val)
+                width = _header_number(val)
             elif key == "H":
-                height = int(val)
+                height = _header_number(val)
             elif key == "F":
-                num, den = val.split(":")
-                frame_rate = int(num) / int(den)
+                num, den = map(_header_number, val.split(":"))
+                frame_rate = num / den
+                if not frame_rate:
+                    raise ValueError("the frame rate must be positive")
             elif key == "C":
                 if val not in _CHROMA_MODES:
                     raise FormatError(f"unsupported chroma mode C{val}", offset=len(_Y4M_SIGNATURE))
                 chroma = _CHROMA_MODES[val]
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise FormatError(f"malformed stream header tag {tag!r}", offset=offset) from None
         offset += len(tag) + 1
     if width is None or height is None or width < 1 or height < 1:
@@ -336,59 +341,3 @@ def write_y4m(stream: FrameStream, chroma: str = "420") -> bytes:
         for plane in (y, cb, cr):
             out += np.clip(np.rint(plane), 0, 255).astype(np.uint8).tobytes()
     return bytes(out)
-
-
-# ---------------------------------------------------------------------------
-# Binary PPM (P6)
-# ---------------------------------------------------------------------------
-
-def _ppm_tokens(data: bytes, count: int, start: int):
-    """Yield `count` whitespace-separated header tokens, honoring # comments."""
-    pos = start
-    tokens = []
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            eol = data.find(b"\n", pos)
-            if eol < 0:
-                raise FormatError("unterminated comment in PPM header", offset=pos)
-            pos = eol + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        if end == pos:
-            raise TruncationError("PPM header ended early", offset=pos)
-        tokens.append((data[pos:end], pos))
-        pos = end
-    return tokens, pos
-
-
-def parse_ppm(data: bytes) -> FrameBuffer:
-    """Decode a binary (P6) PPM image with maxval 255."""
-    if not data.startswith(b"P6"):
-        raise FormatError("not a binary P6 PPM", offset=0)
-    tokens, pos = _ppm_tokens(data, 3, 2)
-    try:
-        width, height, maxval = (int(tok) for tok, _ in tokens)
-    except ValueError:
-        raise FormatError("non-numeric PPM header field", offset=tokens[0][1]) from None
-    if maxval != 255:
-        raise UnsupportedDepthError(f"only maxval 255 supported, got {maxval}", offset=tokens[2][1])
-    if width < 1 or height < 1:
-        raise FormatError(f"invalid dimensions {width}x{height}", offset=tokens[0][1])
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height * 3]
-    if len(payload) != width * height * 3:
-        raise TruncationError(
-            f"PPM payload holds {len(payload)} bytes, expected {width * height * 3}",
-            offset=pos,
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return FrameBuffer(pixels)
-
-
-def write_ppm(frame: FrameBuffer) -> bytes:
-    header = f"P6\n{frame.width} {frame.height}\n255\n".encode()
-    return header + frame.pixels.tobytes()

@@ -34,6 +34,7 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DependencyError,
+    EmptyInputError,
     FormatError,
     ParameterError,
     StaleCacheError,
@@ -44,13 +45,15 @@ from .featureio import (
     FeatureRecord,
     FeatureVector,
     parse_int64,
+    read_arrays,
     read_feature_file,
     read_keyframe_manifest,
+    write_arrays,
     write_feature_bin,
     write_keyframe_manifest,
 )
 from .fusion import fit_cca, fuse_matrix
-from .media import parse_ppm, parse_y4m, write_ppm
+from .media import FrameBuffer, parse_y4m
 from .recsys import (
     FeatureMatrix,
     TrainConfig,
@@ -60,7 +63,7 @@ from .recsys import (
     save_model,
     train_collective_slim,
 )
-from .shots import DEFAULT_THRESHOLD, detect_shots, shots_to_csv
+from .shots import DEFAULT_THRESHOLD, detect_shots
 from .textfeat import build_genre_matrix, fit_tag_lsa, load_movies_csv, load_tags_csv
 
 # each family's feature kind and the stage that writes its movie-level file
@@ -237,17 +240,18 @@ def _videos(cfg: PipelineConfig) -> list[tuple[int, Path]]:
     return list(by_id.items())
 
 
+# Where segment stores each keyframe, as a "frame" container of its pixels.
+# Segment's cache key hashes it, so a cache in another layout is stale.
+_KEYFRAME_PATH = "keyframes/{movie_id}/{kf}.bin"
+
+
 def _segment_key(cfg: PipelineConfig, args: StageArgs):
     cfg.require("videos_dir")
     videos = {video.name: _digest_file(video) for _, video in _videos(cfg)}
-    return {"videos": videos}, {"threshold": cfg.threshold}, None
+    return {"videos": videos}, {"threshold": cfg.threshold, "keyframes": _KEYFRAME_PATH}, None
 
 
 def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    shots_dir = stage_dir / "shots"
-    kf_dir = stage_dir / "keyframes"
-    shots_dir.mkdir(exist_ok=True)
-    kf_dir.mkdir(exist_ok=True)
     outputs = []
     manifest_entries = []
     for movie_id, video in _videos(cfg):
@@ -255,16 +259,11 @@ def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
             stream = parse_y4m(video.read_bytes())
         except FormatError as exc:
             raise _in_file(exc, video) from None
-        shots = detect_shots(stream, threshold=cfg.threshold)
-        shots_csv = shots_dir / f"{movie_id}.csv"
-        shots_csv.write_text(shots_to_csv(shots))
-        outputs.append(shots_csv)
-        movie_kf_dir = kf_dir / str(movie_id)
-        movie_kf_dir.mkdir(exist_ok=True)
-        for kf in shots.keyframes:
-            ppm = movie_kf_dir / f"{kf}.ppm"
-            ppm.write_bytes(write_ppm(stream.frames[kf]))
-            outputs.append(ppm)
+        for kf in detect_shots(stream, threshold=cfg.threshold).keyframes:
+            path = stage_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_arrays(path, "frame", {}, pixels=stream.frames[kf].pixels)
+            outputs.append(path)
             manifest_entries.append((movie_id, kf))
     kf_manifest = stage_dir / "keyframe_manifest.csv"
     write_keyframe_manifest(kf_manifest, manifest_entries)
@@ -272,25 +271,33 @@ def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> lis
     return outputs
 
 
+def _read_keyframe(path: str | Path) -> FrameBuffer:
+    """A keyframe segment wrote. A file without pixels is a FormatError, and
+    a missing one, whose artifacts are gone or in another layout, a
+    DependencyError on segment."""
+    try:
+        _, arrays = read_arrays(path, "frame", {}, {"pixels": "|u1 h w 3"})
+    except FileNotFoundError:
+        raise DependencyError(f"keyframe {path} is missing: run segment with --force",
+                              required_stage="segment") from None
+    try:
+        return FrameBuffer(arrays["pixels"])
+    except EmptyInputError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, list]:
     """Worker: the 774-element MPEG-7 vector of every keyframe of one movie."""
     movie_id, keyframes = args
-    vectors = []
-    for kf, ppm_path in keyframes:
-        try:
-            frame = parse_ppm(Path(ppm_path).read_bytes())
-        except FormatError as exc:
-            raise _in_file(exc, ppm_path) from None
-        vectors.append((kf, descriptors.mpeg7_all(frame)))
-    return movie_id, vectors
+    return movie_id, [(kf, descriptors.mpeg7_all(_read_keyframe(path))) for kf, path in keyframes]
 
 
 def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     segment_dir = cfg.cache_dir / "segment"
     by_movie: dict[int, list[tuple[int, str]]] = {}
     for movie_id, kf in read_keyframe_manifest(segment_dir / "keyframe_manifest.csv"):
-        ppm = segment_dir / "keyframes" / str(movie_id) / f"{kf}.ppm"
-        by_movie.setdefault(movie_id, []).append((kf, str(ppm)))
+        path = segment_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf)
+        by_movie.setdefault(movie_id, []).append((kf, str(path)))
     work = sorted(by_movie.items())
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -533,7 +540,8 @@ def _evaluate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> li
 # another family's parameters (lsa_rank for genre) leave them up to date.
 STAGES: dict[str, Stage] = {
     "segment": Stage(_segment_key, _segment_build),
-    "extract": Stage(lambda cfg, args: ({}, {}, None), _extract_build, needs=("segment",)),
+    "extract": Stage(lambda cfg, args: ({}, {"descriptors": descriptors.VERSION}, None),
+                     _extract_build, needs=("segment",)),
     # aggregate reads segment's keyframe manifest as well as extract's features
     "aggregate": Stage(_aggregate_key, _aggregate_build, needs=("segment", "extract")),
     "fuse": Stage(_fuse_key, _fuse_build, needs=("aggregate",)),

@@ -12,9 +12,7 @@ the few pixels whose exact hue lies on a bin edge.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +171,3 @@ def detect_shots(stream: FrameStream, threshold: float = DEFAULT_THRESHOLD) -> S
     return ShotBoundaryList(
         boundaries=tuple(boundaries), keyframes=tuple(keyframes), n_frames=len(stream)
     )
-
-
-SHOT_CSV_HEADER = ["shot_id", "start_frame", "end_frame", "keyframe"]
-
-
-def shots_to_csv(shots: ShotBoundaryList) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SHOT_CSV_HEADER)
-    for shot_id, ((start, end), kf) in enumerate(zip(shots.shot_ranges(), shots.keyframes)):
-        writer.writerow([shot_id, start, end, kf])
-    return buf.getvalue()
-

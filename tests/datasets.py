@@ -1,14 +1,12 @@
 """Synthetic interaction datasets shared by the recommender tests, and the
-writers and readers of the toolkit's text formats that only tests need."""
+feature-CSV writer that only tests need."""
 
 import csv
-import io
 
 import numpy as np
 
 from visrec.featureio import FeatureRecord
 from visrec.recsys import FeatureMatrix, InteractionMatrix
-from visrec.shots import SHOT_CSV_HEADER, ShotBoundaryList
 
 
 def write_feature_csv(path, records: list[FeatureRecord]) -> None:
@@ -23,18 +21,6 @@ def write_feature_csv(path, records: list[FeatureRecord]) -> None:
         for rec in records:
             key = [rec.movie_id, rec.keyframe_index] if keyed else [rec.movie_id]
             writer.writerow(key + [kind] + [format(v, ".17g") for v in rec.vector.values])
-
-
-def shots_from_csv(text: str) -> ShotBoundaryList:
-    """The ShotBoundaryList of a shot CSV written by ``shots.shots_to_csv``."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != SHOT_CSV_HEADER:
-        raise ValueError(f"unexpected shot CSV header: {rows[0] if rows else 'empty file'}")
-    ends = [int(row[2]) for row in rows[1:]]
-    keyframes = [int(row[3]) for row in rows[1:]]
-    return ShotBoundaryList(
-        boundaries=tuple(ends[:-1]), keyframes=tuple(keyframes), n_frames=ends[-1] + 1
-    )
 
 
 def two_block_dataset(n_users=50, n_items=20, rated_per_user=6, seed=5):

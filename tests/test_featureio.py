@@ -8,6 +8,7 @@ from visrec.featureio import (
     FeatureRecord,
     FeatureVector,
     parse_int64,
+    read_arrays,
     read_feature_bin,
     read_feature_csv,
     read_feature_file,
@@ -161,6 +162,25 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="'movie_id' of dtype object"):
             write_feature_bin(path, records_of("CLD", 120, [(10**20, None)]))
         assert not path.exists()
+
+    def test_uint8_array_is_stored_one_byte_per_value(self, tmp_path):
+        path = tmp_path / "frame.bin"
+        pixels = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        write_arrays(path, "frame", {}, pixels=pixels)
+        data = path.read_bytes()
+        assert len(data) == 12 + int.from_bytes(data[8:12], "little") + pixels.size
+        _, arrays = read_arrays(path, "frame", {}, {"pixels": "|u1 h w 3"})
+        assert arrays["pixels"].dtype == np.uint8
+        np.testing.assert_array_equal(arrays["pixels"], pixels)
+        with pytest.raises(FormatError, match="not a 'frame' file"):
+            read_arrays(path, "frame", {}, {"pixels": "<i8 h w 3"})
+
+    def test_digit_symbol_must_equal_its_dimension(self, tmp_path):
+        path = tmp_path / "frame.bin"
+        write_arrays(path, "frame", {}, pixels=np.zeros((2, 2, 4), dtype=np.uint8))
+        read_arrays(path, "frame", {}, {"pixels": "|u1 h w 4"})
+        with pytest.raises(FormatError, match="not a 'frame' file"):
+            read_arrays(path, "frame", {}, {"pixels": "|u1 h w 3"})
 
     def test_dispatch_by_content(self, tmp_path):
         records = records_of("CLD", 120, [(1, None)])

@@ -1,5 +1,9 @@
-"""Mutation fuzzing of every text parser: whatever bytes arrive, a parser
-either returns or raises a ToolkitError, never a bare Python exception."""
+"""Mutation fuzzing of every input parser and of the binary readers extract
+and the later stages call: whatever bytes arrive, a reader either returns or
+raises a ToolkitError, never a bare Python exception."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from visrec.errors import FormatError, ToolkitError
-from visrec.featureio import read_feature_csv, read_keyframe_manifest
-from visrec.media import FrameStream, parse_ppm, parse_y4m, write_ppm, write_y4m
+from visrec.featureio import (
+    FeatureRecord,
+    FeatureVector,
+    read_feature_csv,
+    read_feature_file,
+    read_keyframe_manifest,
+    write_arrays,
+    write_feature_bin,
+)
+from visrec.media import FrameStream, parse_y4m, write_y4m
+from visrec.pipeline import _read_keyframe
 from visrec.recsys import load_ratings_csv
 from visrec.textfeat import load_movies_csv, load_tags_csv
 
@@ -38,7 +51,6 @@ def mutations(draw, data: bytes) -> bytes:
 
 _RNG = np.random.default_rng(3)
 _Y4M = write_y4m(FrameStream([random_frame(_RNG, width=4, height=4) for _ in range(2)]))
-_PPM = write_ppm(random_frame(_RNG, width=3, height=2))
 _FEATURES = b"movie_id,keyframe_index,kind,v0,v1,v2\n1,0,FUSED,0.5,-1.25,3\n2,7,FUSED,0,1e-3,4\n"
 _MANIFEST = b"movie_id,keyframe_index\n1,0\n1,7\n2,3\n"
 _RATINGS = b"userId,movieId,rating,timestamp\n1,10,4.0,100\n1,20,2.5,101\n2,10,5,102\n"
@@ -54,10 +66,27 @@ def _on_file(parse):
     return run
 
 
+def _written(write) -> bytes:
+    """The bytes ``write(path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seed.bin"
+        write(path)
+        return path.read_bytes()
+
+
+_KEYFRAME = _written(lambda path: write_arrays(
+    path, "frame", {}, pixels=random_frame(_RNG, width=3, height=2).pixels))
+_FEATURES_BIN = _written(lambda path: write_feature_bin(path, [
+    FeatureRecord(1, 0, FeatureVector("FUSED", [0.5, -1.25, 3.0])),
+    FeatureRecord(2, None, FeatureVector("FUSED", [0.0, 1e-3, 4.0])),
+]))
+
+
 # name -> (valid input, run(data, tmp_path))
 PARSERS = {
     "parse_y4m": (_Y4M, lambda data, _: parse_y4m(data)),
-    "parse_ppm": (_PPM, lambda data, _: parse_ppm(data)),
+    "read_keyframe": (_KEYFRAME, _on_file(_read_keyframe)),
+    "read_feature_file": (_FEATURES_BIN, _on_file(read_feature_file)),
     "read_feature_csv": (_FEATURES, _on_file(read_feature_csv)),
     "read_keyframe_manifest": (_MANIFEST, _on_file(read_keyframe_manifest)),
     "load_ratings_csv": (_RATINGS, _on_file(load_ratings_csv)),

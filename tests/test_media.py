@@ -1,26 +1,19 @@
 import numpy as np
 import pytest
 
-from visrec.errors import (
-    EmptyInputError,
-    FormatError,
-    TruncationError,
-    UnsupportedDepthError,
-)
+from visrec.errors import EmptyInputError, FormatError, TruncationError
 from visrec.media import (
     FrameBuffer,
     FrameStream,
     hsv_to_rgb,
-    parse_ppm,
     parse_y4m,
     rgb_image_to_hsv,
     rgb_to_ycbcr_planes,
-    write_ppm,
     write_y4m,
     ycbcr_planes_to_rgb,
 )
 
-from conftest import random_frame, solid_frame
+from conftest import solid_frame
 from oracles import ycbcr_planes_to_rgb_oracle
 
 
@@ -68,6 +61,11 @@ class TestParseY4m:
         ("YUV4MPEG2 Wx H4", 10),
         ("YUV4MPEG2 W4 H4 F30", 16),
         ("YUV4MPEG2 W4 H4 F30:0", 16),
+        ("YUV4MPEG2 W1_6 H4", 10),
+        ("YUV4MPEG2 W+4 H4", 10),
+        ("YUV4MPEG2 W4 H4 F-24:1", 16),
+        ("YUV4MPEG2 W4 H4 F24:-1", 16),
+        ("YUV4MPEG2 W4 H4 F0:1", 16),
     ])
     def test_malformed_header_tag_reports_offset(self, header, offset):
         with pytest.raises(FormatError) as err:
@@ -119,37 +117,6 @@ class TestYcbcrDecode:
         for (y, cb, cr), frame in zip(planes, stream.frames, strict=True):
             full = [c.repeat(fy, axis=0).repeat(fx, axis=1) for c in (cb, cr)]
             np.testing.assert_array_equal(frame.pixels, ycbcr_planes_to_rgb_oracle(y, *full))
-
-
-class TestParsePpm:
-    def test_single_red_pixel(self):
-        frame = parse_ppm(b"P6\n1 1\n255\n\xff\x00\x00")
-        assert frame.pixels.tolist() == [[[255, 0, 0]]]
-
-    def test_header_comments_ignored(self):
-        plain = parse_ppm(b"P6\n2 1\n255\n" + bytes(6))
-        commented = parse_ppm(b"P6\n# made by hand\n2 1\n# depth\n255\n" + bytes(6))
-        assert np.array_equal(plain.pixels, commented.pixels)
-
-    def test_gradient_payload_exact(self):
-        # hand-written 12-byte payload for a 2x2 gradient
-        payload = bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
-        frame = parse_ppm(b"P6\n2 2\n255\n" + payload)
-        assert frame.pixels.tobytes() == payload
-
-    def test_wrong_maxval_rejected(self):
-        with pytest.raises(UnsupportedDepthError):
-            parse_ppm(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
-
-    def test_short_payload_rejected(self):
-        with pytest.raises(TruncationError):
-            parse_ppm(b"P6\n2 2\n255\n" + bytes(9))
-
-    def test_roundtrip_identity(self, rng):
-        for _ in range(5):
-            frame = random_frame(rng, width=int(rng.integers(1, 9)), height=int(rng.integers(1, 9)))
-            again = parse_ppm(write_ppm(parse_ppm(write_ppm(frame))))
-            assert np.array_equal(frame.pixels, again.pixels)
 
 
 class TestColorConversions:

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import visrec
-from visrec import pipeline
+from visrec import descriptors, pipeline
 from visrec.cli import main
 from visrec.evaluation import make_splits
 from visrec.errors import (
@@ -22,12 +22,20 @@ from visrec.errors import (
     StaleCacheError,
     TruncationError,
 )
-from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
+from visrec.featureio import (
+    FeatureRecord,
+    FeatureVector,
+    read_feature_file,
+    read_keyframe_manifest,
+    write_arrays,
+    write_feature_bin,
+)
+from visrec.media import parse_y4m
 from visrec.minidata import generate
 from visrec.pipeline import PipelineConfig, recommend_items, run_stage
 from visrec.recsys import load_model, load_ratings_csv, recommend
 
-from datasets import shots_from_csv
+from conftest import random_frame
 
 
 @pytest.fixture(scope="module")
@@ -143,19 +151,35 @@ class TestCacheSemantics:
         cfg.cache_dir = tmp_path / "cache"
         run_stage("segment", cfg)
         calls = []
-        write_ppm = pipeline.write_ppm
+        write_arrays = pipeline.write_arrays
 
-        def failing_write_ppm(frame):
-            calls.append(frame)
+        def failing_write_arrays(path, *args, **arrays):
+            calls.append(path)
             if len(calls) == 3:
                 raise OSError("disk full")
-            return write_ppm(frame)
+            return write_arrays(path, *args, **arrays)
 
-        monkeypatch.setattr(pipeline, "write_ppm", failing_write_ppm)
+        monkeypatch.setattr(pipeline, "write_arrays", failing_write_arrays)
         with pytest.raises(OSError):
             run_stage("segment", cfg, force=True)
         monkeypatch.undo()
         assert run_stage("segment", cfg)
+
+    @pytest.mark.parametrize("stage, module, name, value", [
+        ("segment", pipeline, "_KEYFRAME_PATH", "keyframes/{movie_id}/{kf}.ppm"),
+        ("extract", descriptors, "VERSION", descriptors.VERSION + 1),
+    ], ids=["segment", "extract"])
+    def test_code_revision_makes_the_cache_stale(self, mini, tmp_path, monkeypatch,
+                                                 stage, module, name, value):
+        # the keyframe layout and the descriptors' revision are in the key
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
+        run_stage("segment", cfg)
+        run_stage(stage, cfg)
+        monkeypatch.setattr(module, name, value)
+        with pytest.raises(StaleCacheError) as err:
+            run_stage(stage, cfg)
+        assert err.value.exit_code == 5
 
     def test_force_rebuilds_over_unreadable_manifest(self, mini, tmp_path):
         cfg = load_cfg(mini)
@@ -202,14 +226,21 @@ class TestCacheSemantics:
 
 
 class TestStageOutputs:
-    def test_segment_outputs(self, mini):
+    def test_segment_outputs(self, mini, tmp_path):
         cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
         run_stage("segment", cfg)
-        shots_csv = cfg.cache_dir / "segment" / "shots" / "1.csv"
-        shots = shots_from_csv(shots_csv.read_text())
-        assert shots.n_shots >= 2
-        manifest = cfg.cache_dir / "segment" / "keyframe_manifest.csv"
-        assert manifest.exists()
+        segment = cfg.cache_dir / "segment"
+        assert sorted(p.name for p in segment.iterdir()) == [
+            "keyframe_manifest.csv", "keyframes", "manifest.json"]
+        manifest = read_keyframe_manifest(segment / "keyframe_manifest.csv")
+        assert sum(movie_id == 1 for movie_id, _ in manifest) >= 2  # movie 1 has 2+ shots
+        files = sorted(p.relative_to(segment) for p in segment.glob("keyframes/*/*"))
+        assert files == sorted(Path(f"keyframes/{m}/{kf}.bin") for m, kf in manifest)
+        frames = parse_y4m((cfg.videos_dir / "1.y4m").read_bytes()).frames
+        for kf in (kf for movie_id, kf in manifest if movie_id == 1):
+            keyframe = pipeline._read_keyframe(segment / f"keyframes/1/{kf}.bin")
+            np.testing.assert_array_equal(keyframe.pixels, frames[kf].pixels)
 
     def test_extract_and_aggregate(self, mini):
         cfg = load_cfg(mini)
@@ -275,6 +306,57 @@ class TestStageOutputs:
         first = report.read_bytes()
         run_stage("evaluate", cfg, family="dnn", force=True)
         assert report.read_bytes() == first
+
+
+def write_frame(path, pixels):
+    write_arrays(path, "frame", {}, pixels=pixels)
+    return path
+
+
+class TestKeyframeFile:
+    """Segment writes each keyframe as a "frame" container; extract reads it
+    back with ``_read_keyframe``."""
+
+    def test_single_red_pixel(self, tmp_path):
+        path = write_frame(tmp_path / "kf.bin", np.array([[[255, 0, 0]]], dtype=np.uint8))
+        assert pipeline._read_keyframe(path).pixels.tolist() == [[[255, 0, 0]]]
+
+    def test_gradient_payload_exact(self, tmp_path):
+        # hand-written 12-byte payload for a 2x2 gradient, stored as it is
+        payload = bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
+        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(2, 2, 3)
+        path = write_frame(tmp_path / "kf.bin", pixels)
+        assert path.read_bytes().endswith(payload)
+        assert pipeline._read_keyframe(path).pixels.tobytes() == payload
+
+    def test_wrong_depth_rejected(self, tmp_path):
+        # 16-bit pixels are stored as <i8, and a keyframe's must be |u1
+        path = write_frame(tmp_path / "kf.bin", np.zeros((1, 1, 3), dtype=np.uint16))
+        with pytest.raises(FormatError, match="not a 'frame' file"):
+            pipeline._read_keyframe(path)
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = write_frame(tmp_path / "kf.bin", np.zeros((2, 2, 3), dtype=np.uint8))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match="file holds"):
+            pipeline._read_keyframe(path)
+
+    def test_roundtrip_identity(self, tmp_path, rng):
+        for _ in range(5):
+            frame = random_frame(rng, width=int(rng.integers(1, 9)),
+                                 height=int(rng.integers(1, 9)))
+            again = pipeline._read_keyframe(write_frame(tmp_path / "kf.bin", frame.pixels))
+            np.testing.assert_array_equal(frame.pixels, again.pixels)
+
+    def test_empty_frame_names_the_file(self, tmp_path):
+        path = write_frame(tmp_path / "kf.bin", np.zeros((0, 2, 3), dtype=np.uint8))
+        with pytest.raises(FormatError, match="kf.bin: frame must contain"):
+            pipeline._read_keyframe(path)
+
+    def test_missing_keyframe_is_a_segment_dependency(self, tmp_path):
+        with pytest.raises(DependencyError) as err:
+            pipeline._read_keyframe(str(tmp_path / "kf.bin"))
+        assert err.value.required_stage == "segment"
 
 
 class TestConfig:
@@ -522,13 +604,15 @@ class TestCli:
     def test_truncated_keyframe_exits_naming_the_file(self, mini, tmp_path, jobs):
         cfg_path = cli_config(mini, tmp_path)
         invoke(cfg_path, "segment")
-        ppm = sorted((tmp_path / "cache" / "segment" / "keyframes" / "3").glob("*.ppm"))[0]
-        ppm.write_bytes(ppm.read_bytes()[:100])
+        keyframe = sorted((tmp_path / "cache" / "segment" / "keyframes" / "3").glob("*.bin"))[0]
+        data = keyframe.read_bytes()
+        keyframe.write_bytes(data[:-100])  # the pixels end the file
         result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs, "extract"])
-        assert result.exit_code == TruncationError.exit_code == 7
+        assert result.exit_code == FormatError.exit_code == 6
         assert type(result.exception) is SystemExit
         assert result.output.count("error:") == 1 and "Traceback" not in result.output
-        assert f"error: {ppm}: PPM payload holds 87 bytes" in result.output
+        assert (f"error: {keyframe}: file holds {len(data) - 100} bytes, header implies "
+                f"{len(data)}") in result.output
         assert not (tmp_path / "cache" / "extract" / "manifest.json").exists()
 
     def test_truncated_video_exits_naming_the_file(self, mini, tmp_path):

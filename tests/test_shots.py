@@ -17,11 +17,9 @@ from visrec.shots import (
     frame_histogram,
     histogram_intersection,
     hsv_cell_indices,
-    shots_to_csv,
 )
 
 from conftest import solid_frame
-from datasets import shots_from_csv
 from oracles import histogram_oracle, hsv_cells_float
 
 
@@ -194,14 +192,3 @@ class TestDetectShots:
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyInputError):
             detect_shots(FrameStream([]))
-
-
-class TestShotCsv:
-    def test_roundtrip(self, red_blue_stream):
-        shots = detect_shots(red_blue_stream)
-        text = shots_to_csv(shots)
-        assert text.splitlines()[0] == "shot_id,start_frame,end_frame,keyframe"
-        again = shots_from_csv(text)
-        assert again.boundaries == shots.boundaries
-        assert again.keyframes == shots.keyframes
-        assert again.n_frames == shots.n_frames
