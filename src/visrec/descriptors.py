@@ -27,7 +27,7 @@ VERSION = 1
 
 def scd(frame: FrameBuffer) -> FeatureVector:
     """The frame's shot-detection histogram (``shots.frame_histogram``)."""
-    return FeatureVector("SCD", frame_histogram(frame).bins)
+    return FeatureVector("SCD", frame_histogram(frame))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ class FrameStream:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def __iter__(self):
+        return iter(self.frames)
+
 
 # ---------------------------------------------------------------------------
 # Color conversions

@@ -8,12 +8,12 @@ stage_dir)``, which writes the artifacts and returns their paths, and
 a run by following ``needs`` from the stages that write the families'
 features (``FAMILIES``). ``run_stage`` is the one runner and the whole
 cache: it hashes the needed stages' manifests with the key, returns early
-when the stage's ``manifest_*.json`` matches, drops that manifest, calls
-``build`` and writes a fresh manifest of input digests, parameters, seed
-and output digests. A mismatch is an error unless forced, so cached
-features are never silently rebuilt or reused across input changes, and a
-build that stops midway leaves no manifest. ``recommend_items`` is a
-query, not a stage.
+when the stage's ``manifest_*.json`` matches, drops that manifest and the
+outputs it lists, calls ``build`` and writes a fresh manifest of input
+digests, parameters, seed and output digests. A mismatch is an error unless
+forced, so cached features are never silently rebuilt or reused across
+input changes, and a build that stops midway leaves no manifest.
+``recommend_items`` is a query, not a stage.
 """
 
 from __future__ import annotations
@@ -560,15 +560,35 @@ def stages_for(families: tuple[str, ...]) -> list[str]:
     return [name for name in STAGES if name in needed]
 
 
+def _remove_outputs(stage_dir: Path, outputs) -> None:
+    """Delete the files an old manifest lists as outputs, then the directories
+    that leaves empty. A name that leads out of the stage directory is not
+    the stage's output and stays."""
+    if not isinstance(outputs, dict):
+        return
+    for name in outputs:
+        rel = Path(name)
+        path = stage_dir / rel
+        if rel.is_absolute() or ".." in rel.parts or not path.is_file():
+            continue
+        path.unlink()
+        parent = path.parent
+        while parent != stage_dir and not any(parent.iterdir()):
+            parent.rmdir()
+            parent = parent.parent
+
+
 def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
               force: bool = False, jobs: int = 1) -> list[Path]:
     """Run one stage through the cache; returns its outputs, or [] if up to date.
 
     A needed stage without a manifest is a DependencyError. The old
-    manifest is removed before the build and the new one written after it,
-    so a build that stops midway leaves no manifest behind. A manifest that
-    is not a JSON object counts as stale. Every cache key hashes the seed,
-    so a negative seed is rejected here, before any stage runs.
+    manifest is removed before the build, then the outputs it lists, and
+    the new manifest is written after the build, so a build that stops
+    midway leaves no manifest behind and a rebuild leaves no stale
+    artifact. A manifest that is not a JSON object counts as stale and
+    lists no outputs. Every cache key hashes the seed, so a negative seed
+    is rejected here, before any stage runs.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
@@ -584,17 +604,20 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     key = _cache_key(inputs, params, cfg.seed)
     stage_dir = cfg.cache_dir / stage
     manifest_file = _manifest_path(stage_dir, variant)
-    if manifest_file.exists() and not force:
-        try:
-            cached = json.loads(manifest_file.read_text())
-        except (ValueError, RecursionError):
-            cached = None
+    exists = manifest_file.exists()
+    try:
+        cached = json.loads(manifest_file.read_text()) if exists else None
+    except (ValueError, RecursionError):
+        cached = None
+    if exists and not force:
         if isinstance(cached, dict) and cached.get("key") == key:
             return []
         why = ("cached artifacts built from different inputs or parameters"
                if isinstance(cached, dict) else f"an unreadable {manifest_file.name}")
         raise StaleCacheError(f"stage {stage!r} has {why}; re-run with --force to rebuild")
     manifest_file.unlink(missing_ok=True)
+    if isinstance(cached, dict):
+        _remove_outputs(stage_dir, cached.get("outputs"))
     stage_dir.mkdir(exist_ok=True)
     outputs = STAGES[stage].build(cfg, args, stage_dir)
     manifest = {

@@ -13,12 +13,12 @@ the few pixels whose exact hue lies on a bin edge.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ParameterError
-from .media import FrameBuffer, FrameStream, rgb_image_to_hsv
+from .media import FrameBuffer, rgb_image_to_hsv
 
 HSV_BINS = (16, 4, 4)
 N_CELLS = HSV_BINS[0] * HSV_BINS[1] * HSV_BINS[2]
@@ -26,29 +26,8 @@ N_CELLS = HSV_BINS[0] * HSV_BINS[1] * HSV_BINS[2]
 DEFAULT_THRESHOLD = 0.75
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Bins of a normalized histogram: nonnegative and summing to 1."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bins, dtype=np.float64)
-        if b.ndim != 1:
-            raise DimensionError(f"histogram bins must be a vector, got shape {b.shape}")
-        if (b < 0).any():
-            raise ValueError("histogram bins must be nonnegative")
-        if abs(b.sum() - 1.0) > 1e-9:
-            raise ValueError(f"normalized histogram sums to {b.sum()!r}, not 1")
-        b.setflags(write=False)
-        object.__setattr__(self, "bins", b)
-
-    def __len__(self):
-        return len(self.bins)
-
-
 @functools.lru_cache(maxsize=None)
-def _sv_table(sb: int, vb: int) -> np.ndarray:
+def _sv_table() -> np.ndarray:
     """The S and V part ``si * vb + vi`` of the cell id, indexed ``[mx, mn]``
     by a pixel's largest and smallest channel (entries with mn > mx are unused).
 
@@ -57,14 +36,15 @@ def _sv_table(sb: int, vb: int) -> np.ndarray:
     (mx, mn, mn) and binned as the float cell rule bins them. It is built on
     first use, so importing the package builds none.
     """
+    _, sb, vb = HSV_BINS
     mx, mn = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     hsv = rgb_image_to_hsv(np.stack([mx, mn, mn], axis=-1))
     si = np.minimum((hsv[..., 1] * sb).astype(np.int32), sb - 1)
     vi = np.minimum((hsv[..., 2] * vb).astype(np.int32), vb - 1)
-    return (si * vb + vi).astype(np.min_scalar_type(sb * vb - 1))
+    return (si * vb + vi).astype(np.uint8)
 
 
-def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> np.ndarray:
+def hsv_cell_indices(frame: FrameBuffer) -> np.ndarray:
     """Quantize every pixel into the uniform HSV lattice; H-major int32 cell ids.
 
     The ids are those of the float hexcone ``media.rgb_image_to_hsv`` binned
@@ -78,10 +58,9 @@ def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) 
     the exact hue lies on a bin edge and the float rounding decided the bin,
     so those pixels alone take their hue bin from the float hexcone.
     """
-    hb, sb, vb = bins
+    hb, sb, vb = HSV_BINS
     px = frame.pixels
-    # int16 holds every intermediate below 6 * 255; the product with hb is
-    # int32, exact while hb * 6 * 255 fits (up to 1,403,584 hue bins)
+    # int16 holds every intermediate below 6 * 255; the product with hb is int32
     r, g, b = (px[..., c].astype(np.int16) for c in range(3))
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
@@ -99,75 +78,54 @@ def hsv_cell_indices(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) 
     if tie.any():
         h = rgb_image_to_hsv(px[tie])[:, 0]
         hi[tie] = np.minimum((h * (hb / 360.0)).astype(np.int32), hb - 1)
-    sv = _sv_table(sb, vb).ravel().take((mx.astype(np.int32) << 8) | mn)
+    sv = _sv_table().ravel().take((mx.astype(np.int32) << 8) | mn)
     return hi * (sb * vb) + sv
 
 
-def frame_histogram(frame: FrameBuffer, bins: tuple[int, int, int] = HSV_BINS) -> Histogram:
-    """Normalized HSV color histogram of one frame (the per-frame signature
-    compared across consecutive frames during segmentation)."""
-    cells = hsv_cell_indices(frame, bins)
-    if cells.size == 0:
-        raise EmptyInputError("cannot build a histogram from a zero-pixel frame")
-    n_cells = bins[0] * bins[1] * bins[2]
-    counts = np.bincount(cells.ravel(), minlength=n_cells).astype(np.float64)
-    return Histogram(bins=counts / cells.size)
+def frame_histogram(frame: FrameBuffer) -> np.ndarray:
+    """Normalized HSV color histogram of one frame, ``N_CELLS`` float64 bins
+    summing to 1 (the per-frame signature compared across consecutive frames
+    during segmentation)."""
+    cells = hsv_cell_indices(frame)
+    return np.bincount(cells.ravel(), minlength=N_CELLS) / cells.size
 
 
-def histogram_intersection(h1: Histogram, h2: Histogram) -> float:
+def histogram_intersection(h1: np.ndarray, h2: np.ndarray) -> float:
     """Sum of per-bin minima; 1.0 only for identical normalized histograms."""
     if len(h1) != len(h2):
         raise DimensionError(f"histogram lengths differ: {len(h1)} vs {len(h2)}")
-    return float(np.minimum(h1.bins, h2.bins).sum())
+    return float(np.minimum(h1, h2).sum())
 
 
-@dataclass(frozen=True)
-class ShotBoundaryList:
-    """Boundary at t means frames t and t+1 belong to different shots."""
+class ShotBoundaryList(NamedTuple):
+    """Boundary at t means frames t and t+1 belong to different shots; one
+    keyframe, the shot's middle frame, per shot."""
 
     boundaries: tuple[int, ...]
     keyframes: tuple[int, ...]
     n_frames: int
 
-    def __post_init__(self):
-        bounds = tuple(int(b) for b in self.boundaries)
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("boundaries must be strictly increasing")
-        object.__setattr__(self, "boundaries", bounds)
-        object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
-        if len(self.keyframes) != len(bounds) + 1:
-            raise ValueError("need exactly one keyframe per shot")
-        for (start, end), kf in zip(self.shot_ranges(), self.keyframes):
-            if not start <= kf <= end:
-                raise ValueError(f"keyframe {kf} outside its shot range [{start}, {end}]")
 
-    @property
-    def n_shots(self) -> int:
-        return len(self.boundaries) + 1
-
-    def shot_ranges(self) -> list[tuple[int, int]]:
-        """Inclusive (start, end) frame range per shot."""
-        starts = [0] + [b + 1 for b in self.boundaries]
-        ends = [b for b in self.boundaries] + [self.n_frames - 1]
-        return list(zip(starts, ends))
-
-
-def detect_shots(stream: FrameStream, threshold: float = DEFAULT_THRESHOLD) -> ShotBoundaryList:
+def detect_shots(frames: Iterable[FrameBuffer],
+                 threshold: float = DEFAULT_THRESHOLD) -> ShotBoundaryList:
     """Cut wherever consecutive-frame histogram intersection drops below the
-    threshold; the representative keyframe is each shot's middle frame."""
+    threshold; the representative keyframe is each shot's middle frame. The
+    frames are read once, in order, and only the previous one's histogram is
+    kept, so a generator of frames is segmented in the memory of a few."""
     if not 0.0 <= threshold <= 1.0:
         raise ParameterError(f"threshold must lie in [0, 1], got {threshold}")
-    if len(stream) == 0:
+    boundaries = []
+    prev = None
+    n_frames = 0
+    for frame in frames:
+        hist = frame_histogram(frame)
+        if prev is not None and histogram_intersection(prev, hist) < threshold:
+            boundaries.append(n_frames - 1)
+        prev = hist
+        n_frames += 1
+    if n_frames == 0:
         raise EmptyInputError("cannot segment an empty stream")
-    hists = [frame_histogram(f) for f in stream.frames]
-    boundaries = [
-        t
-        for t in range(len(hists) - 1)
-        if histogram_intersection(hists[t], hists[t + 1]) < threshold
-    ]
     starts = [0] + [b + 1 for b in boundaries]
-    ends = boundaries + [len(stream) - 1]
-    keyframes = [(s + e) // 2 for s, e in zip(starts, ends)]
-    return ShotBoundaryList(
-        boundaries=tuple(boundaries), keyframes=tuple(keyframes), n_frames=len(stream)
-    )
+    ends = boundaries + [n_frames - 1]
+    keyframes = tuple((s + e) // 2 for s, e in zip(starts, ends))
+    return ShotBoundaryList(tuple(boundaries), keyframes, n_frames)

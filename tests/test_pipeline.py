@@ -165,6 +165,51 @@ class TestCacheSemantics:
         monkeypatch.undo()
         assert run_stage("segment", cfg)
 
+    def test_forced_rebuild_removes_the_old_outputs(self, mini, tmp_path):
+        cfg = load_cfg(mini)
+        cfg.videos_dir = tmp_path / "videos"
+        cfg.cache_dir = tmp_path / "cache"
+        shutil.copytree(mini.parent / "videos", cfg.videos_dir)
+        segment = cfg.cache_dir / "segment"
+
+        def files():
+            return {str(p.relative_to(segment)) for p in segment.rglob("*") if p.is_file()}
+
+        run_stage("segment", cfg)
+        old = files()
+        (cfg.videos_dir / "8.y4m").unlink()
+        cfg.threshold = 0.0
+        run_stage("segment", cfg, force=True)
+        listed = json.loads((segment / "manifest.json").read_text())["outputs"]
+        assert len(listed) == 8  # one keyframe for each of 7 movies, and the keyframe manifest
+        assert files() == set(listed) | {"manifest.json"}
+        assert not (segment / "keyframes" / "8").exists()  # emptied, so removed
+        # an unreadable manifest lists nothing, so nothing is removed
+        (segment / "manifest.json").write_text('{"key": ')
+        cfg.threshold = 0.75
+        run_stage("segment", cfg, force=True)
+        assert files() == set(listed) | old - {p for p in old if p.startswith("keyframes/8/")}
+
+    def test_forced_rebuild_keeps_what_the_old_manifest_does_not_own(self, mini, tmp_path):
+        cfg = load_cfg(mini)
+        cfg.cache_dir = tmp_path / "cache"
+        cfg.epochs = 1
+        run_stage("textfeat", cfg)
+        for family in ("genre", "tag-lsa"):
+            run_stage("train", cfg, family=family)
+        train = cfg.cache_dir / "train"
+        other = (train / "model_tag-lsa.bin").read_bytes()
+        outside = tmp_path / "outside.txt"
+        outside.write_text("keep")
+        manifest = train / "manifest_genre.json"
+        data = json.loads(manifest.read_text())
+        data["outputs"].update({"../../outside.txt": "", str(outside): ""})
+        manifest.write_text(json.dumps(data))
+        assert run_stage("train", cfg, family="genre", force=True)
+        assert outside.read_text() == "keep"
+        assert (train / "model_tag-lsa.bin").read_bytes() == other
+        assert run_stage("train", cfg, family="tag-lsa") == []
+
     @pytest.mark.parametrize("stage, module, name, value", [
         ("segment", pipeline, "_KEYFRAME_PATH", "keyframes/{movie_id}/{kf}.ppm"),
         ("extract", descriptors, "VERSION", descriptors.VERSION + 1),
