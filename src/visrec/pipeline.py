@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import descriptors
+from . import descriptors, recsys
 from .aggregate import AggregationKind, aggregate
 from .embeddings import load_embeddings
 from .errors import (
@@ -484,7 +484,7 @@ def _train_key(cfg: PipelineConfig, args: StageArgs):
     inputs["features"] = _digest_file(_family_feature_path(cfg, args.family))
     hypers = asdict(_train_config(cfg))
     del hypers["seed"]  # every cache key hashes the seed already
-    return inputs, {"family": args.family, **hypers}, args.family
+    return inputs, {"family": args.family, "recsys": recsys.VERSION, **hypers}, args.family
 
 
 def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import visrec
-from visrec import descriptors, pipeline
+from visrec import descriptors, pipeline, recsys
 from visrec.cli import main
 from visrec.evaluation import make_splits
 from visrec.errors import (
@@ -213,17 +213,23 @@ class TestCacheSemantics:
     @pytest.mark.parametrize("stage, module, name, value", [
         ("segment", pipeline, "_KEYFRAME_PATH", "keyframes/{movie_id}/{kf}.ppm"),
         ("extract", descriptors, "VERSION", descriptors.VERSION + 1),
-    ], ids=["segment", "extract"])
+        ("train", recsys, "VERSION", recsys.VERSION + 1),
+        ("evaluate", recsys, "VERSION", recsys.VERSION + 1),
+    ], ids=["segment", "extract", "train", "evaluate"])
     def test_code_revision_makes_the_cache_stale(self, mini, tmp_path, monkeypatch,
                                                  stage, module, name, value):
-        # the keyframe layout and the descriptors' revision are in the key
+        # the keyframe layout and the descriptors' and training's revisions
+        # are in the key
         cfg = load_cfg(mini)
         cfg.cache_dir = tmp_path / "cache"
-        run_stage("segment", cfg)
-        run_stage(stage, cfg)
+        cfg.epochs = 1
+        trains = stage in ("train", "evaluate")
+        args = {"family": "genre"} if trains else {}
+        run_stage("textfeat" if trains else "segment", cfg)
+        run_stage(stage, cfg, **args)
         monkeypatch.setattr(module, name, value)
         with pytest.raises(StaleCacheError) as err:
-            run_stage(stage, cfg)
+            run_stage(stage, cfg, **args)
         assert err.value.exit_code == 5
 
     def test_force_rebuilds_over_unreadable_manifest(self, mini, tmp_path):

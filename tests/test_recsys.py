@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special  # noqa: F401  (imported by training; kept out of its memory peak)
 
 from visrec.errors import (
     AlignmentError,
+    DivergenceError,
     DuplicateKeyError,
     FormatError,
     MissingUserError,
@@ -23,6 +27,9 @@ from visrec.recsys import (
     score,
     standardize_columns,
     train_collective_slim,
+    _draw_epoch,
+    _LazyRows,
+    _levels,
 )
 
 from datasets import two_block_dataset
@@ -268,12 +275,13 @@ class TestTrainCollectiveSlim:
         assert np.diff(losses).max() <= 0.05 * losses[0]
         assert losses[-1] <= 0.5 * losses[0]
 
-    @pytest.mark.parametrize("lr_gamma", [5e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("lr_gamma", [5e-6, 0.5, 1.0, 0.0])
     @pytest.mark.parametrize("d", [4, 30])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_matches_dense_oracle(self, alpha, d, lr_gamma):
         # d = 30 > 12 items makes the thin factor narrower than G; lr * gamma = 0.5
-        # folds the decay every 100 steps and lr * gamma = 1 zeroes it
+        # folds the decay every 100 steps, lr * gamma = 1 zeroes it and
+        # gamma = 0 leaves no decay at all
         R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
         F = flat_features(R, d=d, seed=3)
         cfg = TrainConfig(alpha=alpha, gamma=lr_gamma / 0.05, learning_rate=0.05,
@@ -283,6 +291,49 @@ class TestTrainCollectiveSlim:
         np.testing.assert_allclose(model.matrix, ref.matrix, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.loss_history, ref.loss_history, rtol=1e-9)
         assert np.abs(np.diag(model.matrix)).max() == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("case", ["few_items", "all_but_one"])
+    def test_matches_dense_oracle_on_hard_schedules(self, case, alpha):
+        # many users on six items put at most three triples in a level, so
+        # levels run deep; a user who rated all but one item always draws
+        # that item as the negative
+        if case == "few_items":
+            R, _, _ = two_block_dataset(n_users=60, n_items=6, rated_per_user=2, seed=3)
+        else:
+            rng = np.random.default_rng(8)
+            entries = [(1, item, 4.5, 0) for item in range(1, 10)]
+            entries += [(user, int(item), float(rng.choice([2.0, 4.0, 5.0])), 0)
+                        for user in range(2, 12)
+                        for item in rng.choice(np.arange(1, 11), size=3, replace=False)]
+            R = InteractionMatrix(entries, item_ids=range(1, 11))
+        F = flat_features(R, d=4, seed=3)
+        cfg = TrainConfig(alpha=alpha, epochs=3, seed=4)
+        model = train_collective_slim(R, F, cfg)
+        ref = collective_slim_oracle(R, F, cfg)
+        np.testing.assert_allclose(model.matrix, ref.matrix, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.loss_history, ref.loss_history, rtol=1e-9)
+
+    @pytest.mark.parametrize("alpha, lr", [(0.5, 1e3), (1.0, 1e6)])
+    def test_divergence_raises_divergence_error_without_warnings(self, alpha, lr):
+        # the suite turns every warning into an error, so an overflow warning
+        # on the way would fail this test before the DivergenceError
+        R, F, _ = two_block_dataset(n_users=50, n_items=20, rated_per_user=9, seed=5)
+        with pytest.raises(DivergenceError):
+            train_collective_slim(R, F, TrainConfig(alpha=alpha, learning_rate=lr, epochs=5))
+
+    def test_one_epoch_at_paper_width_stays_in_bounded_memory(self):
+        # n = 400 items and d = 774 features: eigenvectors kept per row would
+        # take n k^2 floats (about 500 MB); the lazy rows keep O(n k)
+        R, _, _ = two_block_dataset(n_users=300, n_items=400, rated_per_user=8, seed=1)
+        F = flat_features(R, d=774, seed=2)
+        tracemalloc.start()
+        try:
+            train_collective_slim(R, F, TrainConfig(alpha=0.5, epochs=1, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_zero_feature_matrix_trains_without_features(self):
         # a zero-width matrix and all-constant columns both standardize to a
@@ -312,6 +363,105 @@ class TestTrainCollectiveSlim:
         draws = {sample_negative(rng, rated, 10) for _ in range(500)}
         assert draws.isdisjoint(rated)
         assert draws == {1, 3, 4, 6, 8, 9}
+
+
+def thin_factor(n, sigma2, seed):
+    """An n x k factor G whose Gram G^T G is diag(sigma2)."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, len(sigma2))))
+    return U * np.sqrt(sigma2)
+
+
+# sigma^2 spectra, ascending: a square factor (every row's K has a zero
+# eigenvalue), a zero singular value, and equal and nearly equal sigma^2
+SPECTRA = {
+    "square": (6, [0.5, 1.0, 2.0, 3.0, 5.0, 8.0]),
+    "zero_sigma": (9, [0.0, 0.7, 1.5, 2.0, 4.0, 6.0]),
+    "close_sigma": (9, [1.0, 1.0 + 1e-9, 2.0, 2.0, 3.0, 3.0 + 1e-13, 5.0]),
+}
+
+
+def step_rows(G, d, z, p, steps, decay, gain):
+    """One feature step at a time, as the dense trainer takes it row by row:
+    z -> decay z + gain (g - p - z K), p -> decay p, K = diag(d) - g^T g."""
+    sse = 0.0
+    for _ in range(steps):
+        resid = G - p - z * d + np.einsum("ij,ij->i", z, G)[:, None] * G
+        sse += float((resid ** 2).sum())
+        z = decay * z + gain * resid
+        p = decay * p
+    return z, p, sse
+
+
+class TestLazyFeatureSteps:
+    @pytest.mark.parametrize("fast", [False, True], ids=["mu_positive", "mu_negative"])
+    @pytest.mark.parametrize("decay", [0.0, 0.5, 1.0 - 5e-6, 1.0])
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    def test_closed_form_matches_step_by_step(self, spectrum, decay, fast):
+        n, sigma2 = SPECTRA[spectrum]
+        d = np.array(sigma2)
+        G = thin_factor(n, d, seed=4)
+        # a fast gain takes mu = decay - gain lam below zero on the top of
+        # each row's spectrum, and keeps |mu| < 1
+        gain = (0.95 * (1.0 + decay) if fast else 0.2) / d.max()
+        rng = np.random.default_rng(5)
+        z0, p0 = rng.standard_normal(G.shape), rng.standard_normal(G.shape)
+        for steps in (0, 1, 2, 37, 5000):
+            with np.errstate(all="ignore"):
+                state = _LazyRows(G, d, decay, gain)
+                state.Z[:], state.P[:] = z0, p0
+                state.advance(np.arange(n), np.full(n, steps))
+            z, p, sse = step_rows(G, d, z0, p0, steps, decay, gain)
+            for got, want in ((state.Z, z), (state.P, p)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
+            np.testing.assert_allclose(state.sse, sse, rtol=1e-12)
+
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    def test_eigenpairs_match_eigh(self, spectrum):
+        n, sigma2 = SPECTRA[spectrum]
+        d = np.array(sigma2)
+        G = thin_factor(n, d, seed=4)
+        with np.errstate(all="ignore"):
+            state = _LazyRows(G, d, 0.5, 0.1)
+            inv = state.cauchy(np.arange(n))
+        sizes = np.bincount(state.cluster)
+        for r in range(n):
+            K = np.diag(d) - np.outer(G[r], G[r])
+            roots = state.inv_norm[r] > 0
+            V = (state.uh[r][:, None] * inv[r] * state.inv_norm[r])[:, roots]
+            lam = state.lam[r, roots]
+            # merged and deflated poles keep the rest of the spectrum
+            rest = np.repeat(state.poles, sizes - state.active[r])
+            np.testing.assert_allclose(np.sort(np.concatenate([lam, rest])),
+                                       np.linalg.eigvalsh(K), rtol=0, atol=1e-12 * d.max())
+            np.testing.assert_allclose(V.T @ V, np.eye(len(lam)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(K @ V, V * lam, rtol=0, atol=1e-12 * d.max())
+
+    def test_epoch_draws_follow_the_sequential_loop(self):
+        # the permutation first, then one negative per triple in order, so the
+        # generator ends an epoch where one-triple-at-a-time training leaves it
+        R, _, _ = two_block_dataset(n_users=40, n_items=12, rated_per_user=5, seed=2)
+        rated = [set(R.user_ratings(u)[0].tolist()) for u in range(R.n_users)]
+        pair_user = np.repeat(np.arange(R.n_users), np.diff(R.indptr))
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        order, negatives = _draw_epoch(rng, pair_user, rated, R.n_items)
+        ref_order = ref.permutation(len(pair_user))
+        ref_negatives = [sample_negative(ref, rated[u], R.n_items) for u in pair_user[ref_order]]
+        np.testing.assert_array_equal(order, ref_order)
+        assert negatives.tolist() == ref_negatives
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_levels_are_conflict_free_and_in_time_order(self):
+        rng = np.random.default_rng(3)
+        first = rng.integers(0, 15, size=300)
+        second = (first + rng.integers(1, 15, size=300)) % 15
+        level = _levels(np.stack([first, second], axis=1))
+        last = {}
+        for t, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+            assert level[t] == 1 + max(last.get(a, 0), last.get(b, 0))
+            last[a] = last[b] = level[t]
+        for lv in np.unique(level):
+            rows = np.concatenate([first[level == lv], second[level == lv]])
+            assert len(np.unique(rows)) == len(rows)
 
 
 class TestScoring:
@@ -438,6 +588,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.matrix, model.matrix)
         assert back.item_ids == model.item_ids
         assert back.config == cfg
+
+    def test_roundtrip_keeps_the_loss_history(self, tmp_path):
+        R, F, _ = two_block_dataset(seed=5)
+        model = train_collective_slim(R, F, TrainConfig(epochs=4, seed=9))
+        save_model(tmp_path / "model.bin", model, feature_dim=F.d)
+        back = load_model(tmp_path / "model.bin")
+        assert back.loss_history == model.loss_history
+        assert len(back.loss_history) == 4 and np.isfinite(back.loss_history).all()
 
     def test_checkpoint_stores_dense_s(self, tmp_path):
         # the dense payload is 8 n^2 bytes and the item ids 8 n; the header
