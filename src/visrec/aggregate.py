@@ -1,4 +1,4 @@
-"""Collapse per-keyframe vectors into one movie-level vector."""
+"""Collapse a movie's keyframe vectors into one movie-level vector."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, FormatError, KindMismatchError
-from .featureio import FeatureVector
+from .errors import EmptyInputError, FormatError
 
 
 class AggregationKind(str, Enum):
@@ -26,27 +25,19 @@ _REDUCERS = {
     AggregationKind.UNION: lambda m: m.max(axis=0),
 }
 
-def aggregate(vectors: list[FeatureVector], kind: AggregationKind) -> FeatureVector:
-    """Elementwise min/mean/median/max across the keyframe vectors of one movie.
+
+def aggregate(values: np.ndarray, how: AggregationKind) -> np.ndarray:
+    """Elementwise min/mean/median/max down the rows of a (keyframes, L)
+    array: one movie's keyframe vectors, reduced to its (L,) vector.
 
     The even-count median is the midpoint of the two middle values. Values
     whose average or median overflows float64 raise FormatError.
     """
-    if not vectors:
+    if not len(values):
         raise EmptyInputError("cannot aggregate an empty vector list")
-    kind = AggregationKind(kind)
-    feature_kind = vectors[0].kind
-    length = len(vectors[0])
-    for i, v in enumerate(vectors):
-        if v.kind != feature_kind:
-            raise KindMismatchError(
-                f"vector {i} has kind {v.kind}, aggregation started with {feature_kind}"
-            )
-        if len(v) != length:
-            raise DimensionError(f"vector {i} has length {len(v)}, expected {length}")
-    stacked = np.stack([v.values for v in vectors])
+    how = AggregationKind(how)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _REDUCERS[kind](stacked)
-    if not np.isfinite(values).all():
-        raise FormatError(f"the {kind.value} of these {feature_kind} vectors overflows float64")
-    return FeatureVector(feature_kind, values)
+        out = _REDUCERS[how](values)
+    if not np.isfinite(out).all():
+        raise FormatError(f"the {how.value} of these vectors overflows float64")
+    return out

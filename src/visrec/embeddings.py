@@ -12,41 +12,36 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, DuplicateKeyError, FormatError
-from .featureio import read_feature_file
+from .featureio import FeatureTable, read_features
 
 
 def load_embeddings(
     path: str | Path,
     expected: list[tuple[int, int]] | None = None,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Read a DNN feature file into a map from (movie_id, keyframe_index) to
-    its 1024-dim vector; with a keyframe manifest, coverage must be exact.
+) -> FeatureTable:
+    """Read a DNN feature file of keyframe rows, 1024 values each; with a
+    keyframe manifest, coverage must be exact.
 
     Row order never matters; duplicate (movie, keyframe) keys are rejected.
     """
-    records = read_feature_file(path)
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    for row, rec in enumerate(records):
-        if rec.vector.kind != "DNN":
-            raise FormatError(
-                f"{path} row {row}: expected kind DNN, got {rec.vector.kind}"
-            )
-        if rec.keyframe_index is None:
-            raise FormatError(f"{path} row {row}: embedding record lacks a keyframe index")
-        key = (rec.movie_id, rec.keyframe_index)
-        if key in entries:
-            raise DuplicateKeyError(f"{path} row {row}: duplicate key {key}")
-        entries[key] = rec.vector.values
+    table = read_features(path)
+    ids, keyframes = table.movie_id, table.keyframe_index
+    if len(ids) and table.kind != "DNN":
+        raise FormatError(f"{path} row 0: expected kind DNN, got {table.kind}")
+    movie_level = np.flatnonzero(keyframes < 0)
+    # a stable sort keeps each key's rows in file order: all but the first repeat it
+    order = np.lexsort((keyframes, ids))
+    repeats = order[1:][(np.diff(ids[order]) == 0) & (np.diff(keyframes[order]) == 0)]
+    if len(movie_level) and not (len(repeats) and repeats.min() < movie_level[0]):
+        raise FormatError(f"{path} row {movie_level[0]}: embedding record lacks a keyframe index")
+    if len(repeats):
+        row = repeats.min()
+        key = (int(ids[row]), int(keyframes[row]))
+        raise DuplicateKeyError(f"{path} row {row}: duplicate key {key}")
     if expected is not None:
-        want = set(expected)
-        have = set(entries)
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing keyframes {missing}")
-            if extra:
-                parts.append(f"unexpected keyframes {extra}")
+        want, have = set(expected), set(zip(ids.tolist(), keyframes.tolist()))
+        parts = [f"{what} keyframes {sorted(keys)}"
+                 for what, keys in (("missing", want - have), ("unexpected", have - want)) if keys]
+        if parts:
             raise CoverageError(f"{path}: {'; '.join(parts)}")
-    return entries
+    return table

@@ -1,19 +1,21 @@
-"""Feature vectors and their on-disk formats.
+"""Feature files and the toolkit's other on-disk formats.
 
-Two interchangeable formats carry feature records; the toolkit writes the
-binary one and reads both:
+A feature file is one ``FeatureTable`` of a single kind, carried whole by
+``read_features`` and ``write_features`` and checked once, as an array, by
+``check_features``; a fault names the first bad record or line. The
+toolkit writes the binary format and reads both, told apart by the magic:
 
 * CSV, human-readable. Movie-level files use the header
   ``movie_id,kind,v0,...,v{L-1}``; per-keyframe files insert a
   ``keyframe_index`` column after ``movie_id``.
 * The toolkit's binary container (``write_arrays``), tag ``features``, attr
-  ``kind``, with the columns ``movie_id``, ``keyframe_index`` (-1 marks a
-  movie-level record) and ``values`` (one row per record).
+  ``kind``, with the arrays ``movie_id``, ``keyframe_index`` and ``values``.
 
-A file holds records of exactly one kind. ``read_csv_table`` reads the
-other headed CSV inputs (the MovieLens ratings, movies and tags files), and
-``parse_int64`` reads every integer id and timestamp field of a CSV input,
-so a value the binary container cannot store is refused where it is read.
+``FeatureVector`` is one checked row, as a descriptor returns it.
+``read_csv_table`` reads the other headed CSV inputs (the MovieLens
+ratings, movies and tags files), and ``parse_int64`` reads every integer id
+and timestamp field of a CSV input, so a value the binary container cannot
+store is refused where it is read.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, KindMismatchError
+from .errors import DimensionError, EmptyInputError, FormatError, KindMismatchError, ToolkitError
 
 # Kinds with a fixed contract length; FUSED and TAG_LSA vary per model.
 FIXED_LENGTHS = {
@@ -47,26 +49,64 @@ KINDS = set(FIXED_LENGTHS) | VARIABLE_KINDS
 _NONNEGATIVE_KINDS = {"SCD", "CSD", "EHD"}
 
 
+@contextmanager
+def _located(where: Callable[[], str]):
+    """Prefix errors raised while reading with ``where()``, the file line or
+    record being read; a value that ``check_features`` or ``int`` refuses is
+    a FormatError."""
+    try:
+        yield
+    except (DimensionError, KindMismatchError) as exc:
+        raise type(exc)(f"{where()}: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{where()}: {exc}") from None
+
+
+class FeatureTable(NamedTuple):
+    """Row i is the ``kind`` vector ``values[i]`` of movie ``movie_id[i]`` at
+    keyframe ``keyframe_index[i]``, -1 for a movie-level row."""
+
+    kind: str
+    movie_id: np.ndarray
+    keyframe_index: np.ndarray
+    values: np.ndarray
+
+
+def check_features(kind: str, values: np.ndarray,
+                   where: Callable[[int], str] | None = None) -> None:
+    """Check a (rows, L) array of ``kind`` vectors: a known kind, the kind's
+    fixed length, finite values and, for SCD, CSD and EHD, no negatives. The
+    array's min and max find a bad value with no temporary; only then is the
+    first bad row i sought, and errors are ``_located`` at ``where(i)``."""
+    i = 0
+    with _located(lambda: where(i)) if where else nullcontext():
+        if not len(values):
+            return
+        if kind not in KINDS:
+            raise KindMismatchError(f"unknown feature kind {kind!r}")
+        expected = FIXED_LENGTHS.get(kind, values.shape[1])
+        if values.shape[1] != expected:
+            raise DimensionError(f"{kind} vector must have length {expected}, "
+                                 f"got {values.shape[1]}")
+        nonnegative = kind in _NONNEGATIVE_KINDS
+        if values.size and not (np.isfinite(values.max()) and (
+                values.min() >= 0 if nonnegative else np.isfinite(values.min()))):
+            finite = np.isfinite(values).all(axis=1)
+            i = int(np.argmax(~finite | ((values < 0).any(axis=1) & nonnegative)))
+            raise ValueError(f"{kind} vector contains non-finite values" if not finite[i]
+                             else f"{kind} values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     kind: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise KindMismatchError(f"unknown feature kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64).view()  # never freeze the caller's array
         if v.ndim != 1:
             raise DimensionError(f"feature values must be a vector, got shape {v.shape}")
-        expected = FIXED_LENGTHS.get(self.kind)
-        if expected is not None and len(v) != expected:
-            raise DimensionError(
-                f"{self.kind} vector must have length {expected}, got {len(v)}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError(f"{self.kind} vector contains non-finite values")
-        if self.kind in _NONNEGATIVE_KINDS and (v < 0).any():
-            raise ValueError(f"{self.kind} values must be nonnegative")
+        check_features(self.kind, v[None])
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -81,32 +121,6 @@ class FeatureRecord:
     movie_id: int
     keyframe_index: int | None
     vector: FeatureVector
-
-
-def _check_uniform(records: list[FeatureRecord]) -> tuple[str, int]:
-    if not records:
-        raise ValueError("cannot write an empty feature file")
-    kind = records[0].vector.kind
-    length = len(records[0].vector)
-    for i, rec in enumerate(records):
-        if rec.vector.kind != kind:
-            raise KindMismatchError(f"record {i} has kind {rec.vector.kind}, file is {kind}")
-        if len(rec.vector) != length:
-            raise DimensionError(f"record {i} has length {len(rec.vector)}, file is {length}")
-    return kind, length
-
-
-@contextmanager
-def _located(where: Callable[[], str]):
-    """Prefix errors raised while reading with ``where()``, the file line or
-    record being read; a value a FeatureVector or ``int`` refuses is a
-    FormatError."""
-    try:
-        yield
-    except (DimensionError, KindMismatchError) as exc:
-        raise type(exc)(f"{where()}: {exc}") from None
-    except ValueError as exc:
-        raise FormatError(f"{where()}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +175,7 @@ def read_csv_table(path: str | Path, columns: tuple[str, ...],
     return out
 
 
-def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
+def read_feature_csv(path: str | Path) -> FeatureTable:
     rows = _read_csv_rows(path)
     if not rows:
         raise FormatError(f"{path}: empty feature file")
@@ -173,20 +187,28 @@ def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
     if len(header) <= kind_col or header[kind_col] != "kind":
         raise FormatError(f"{path}: missing kind column")
     length = len(header) - kind_col - 1
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DimensionError(
-                f"{path} line {lineno}: expected {length} values, got {len(row) - kind_col - 1}"
-            )
-        with _located(lambda: f"{path} line {lineno}"):
-            movie_id = parse_int64(row[0])
-            kf = parse_int64(row[1]) if keyed else None
-            vec = FeatureVector(row[kind_col], row[kind_col + 1 :])
-        records.append(FeatureRecord(movie_id, kf, vec))
-    return records
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    kind, keys, values, fault = "", [], [], None
+    try:
+        with _located(lambda: f"{path} line {body[len(keys)][0]}"):
+            for _, row in body:
+                if len(row) != len(header):
+                    raise DimensionError(f"expected {length} values, got {len(row) - kind_col - 1}")
+                key = (parse_int64(row[0]), parse_int64(row[1]) if keyed else -1)
+                if keys and row[kind_col] != kind:
+                    raise KindMismatchError(f"record has kind {row[kind_col]}, file is {kind}")
+                kind = row[kind_col]
+                values.append(np.array(row[kind_col + 1 :], dtype=np.float64))
+                keys.append(key)
+    except ToolkitError as exc:
+        fault = exc
+    # a row above the fault may hold a bad value, which the check names first
+    values = np.array(values).reshape(len(keys), length)
+    check_features(kind, values, lambda i: f"{path} line {body[i][0]}")
+    if fault is not None:
+        raise fault
+    movie_ids, keyframes = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return FeatureTable(kind, movie_ids, keyframes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -280,31 +302,47 @@ def read_arrays(
 _FEATURE_ARRAYS = {"movie_id": "<i8 n", "keyframe_index": "<i8 n", "values": "<f8 n L"}
 
 
-def write_feature_bin(path: str | Path, records: list[FeatureRecord]) -> None:
-    kind, _ = _check_uniform(records)
-    keyframes = [-1 if r.keyframe_index is None else r.keyframe_index for r in records]
-    write_arrays(path, "features", {"kind": kind}, movie_id=[r.movie_id for r in records],
-                 keyframe_index=keyframes, values=[r.vector.values for r in records])
-
-
-def read_feature_bin(path: str | Path) -> list[FeatureRecord]:
+def read_features(path: str | Path) -> FeatureTable:
+    """The feature file at ``path``, a container by its magic and CSV
+    otherwise, checked once as a whole array by ``check_features``."""
+    with open(path, "rb") as fh:
+        if fh.read(len(CONTAINER_MAGIC)) != CONTAINER_MAGIC:
+            return read_feature_csv(path)
     attrs, arrays = read_arrays(path, "features", {"kind": str}, _FEATURE_ARRAYS)
-    ids, kfs, values = arrays.values()
-    records = []
-    with _located(lambda: f"{path} record {len(records)}"):
-        for movie_id, kf, row in zip(ids.tolist(), kfs.tolist(), values):
-            vector = FeatureVector(attrs["kind"], row)
-            records.append(FeatureRecord(movie_id, None if kf < 0 else kf, vector))
-    return records
+    table = FeatureTable(attrs["kind"], **arrays)
+    check_features(table.kind, table.values, lambda i: f"{path} record {i}")
+    return table
+
+
+def write_features(path: str | Path, table: FeatureTable) -> None:
+    """Check ``table`` as ``read_features`` does, then write its container."""
+    values = np.asarray(table.values, dtype=np.float64)
+    if not len(values):
+        raise EmptyInputError(f"{path}: cannot write an empty feature file")
+    check_features(table.kind, values, lambda i: f"{path} record {i}")
+    write_arrays(path, "features", {"kind": table.kind}, movie_id=table.movie_id,
+                 keyframe_index=table.keyframe_index, values=values)
+
+
+def write_feature_bin(path: str | Path, records: list[FeatureRecord]) -> None:
+    """``write_features`` of records of one kind and length."""
+    shapes = [(r.vector.kind, len(r.vector)) for r in records]
+    for i, (kind, length) in enumerate(shapes):
+        if kind != shapes[0][0]:
+            raise KindMismatchError(f"record {i} has kind {kind}, file is {shapes[0][0]}")
+        if length != shapes[0][1]:
+            raise DimensionError(f"record {i} has length {length}, file is {shapes[0][1]}")
+    keyframes = [-1 if r.keyframe_index is None else r.keyframe_index for r in records]
+    write_features(path, FeatureTable(shapes[0][0] if records else "",
+                                      np.asarray([r.movie_id for r in records]),
+                                      np.asarray(keyframes), [r.vector.values for r in records]))
 
 
 def read_feature_file(path: str | Path) -> list[FeatureRecord]:
-    """Dispatch on content: the binary container's magic, otherwise CSV."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(CONTAINER_MAGIC))
-    if head == CONTAINER_MAGIC:
-        return read_feature_bin(path)
-    return read_feature_csv(path)
+    """``read_features`` as one FeatureRecord per row."""
+    t = read_features(path)
+    return [FeatureRecord(movie_id, None if kf < 0 else kf, FeatureVector(t.kind, row))
+            for movie_id, kf, row in zip(t.movie_id.tolist(), t.keyframe_index.tolist(), t.values)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,13 @@ from .errors import (
 from .evaluation import CUTOFFS, EvalReport, collect_observations, compute_metrics, make_splits
 from .featureio import (
     CONTAINER_MAGIC,
-    FeatureRecord,
-    FeatureVector,
+    FeatureTable,
     parse_int64,
     read_arrays,
-    read_feature_file,
+    read_features,
     read_keyframe_manifest,
     write_arrays,
-    write_feature_bin,
+    write_features,
     write_keyframe_manifest,
 )
 from .fusion import fit_cca, fuse_matrix
@@ -286,49 +285,45 @@ def _read_keyframe(path: str | Path) -> FrameBuffer:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _extract_movie(args: tuple[int, list[tuple[int, str]]]) -> tuple[int, list]:
-    """Worker: the 774-element MPEG-7 vector of every keyframe of one movie."""
-    movie_id, keyframes = args
-    return movie_id, [(kf, descriptors.mpeg7_all(_read_keyframe(path))) for kf, path in keyframes]
+def _extract_keyframe(path: str) -> np.ndarray:
+    """Worker: the 774-element MPEG-7 vector of one keyframe."""
+    return descriptors.mpeg7_all(_read_keyframe(path)).values
 
 
 def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     segment_dir = cfg.cache_dir / "segment"
-    by_movie: dict[int, list[tuple[int, str]]] = {}
-    for movie_id, kf in read_keyframe_manifest(segment_dir / "keyframe_manifest.csv"):
-        path = segment_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf)
-        by_movie.setdefault(movie_id, []).append((kf, str(path)))
-    work = sorted(by_movie.items())
+    # movie by movie, each movie's keyframes in manifest order
+    keys = sorted(read_keyframe_manifest(segment_dir / "keyframe_manifest.csv"),
+                  key=lambda key: key[0])
+    paths = [str(segment_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf))
+             for movie_id, kf in keys]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_extract_movie, work))
+            values = list(pool.map(_extract_keyframe, paths))
     else:
-        results = [_extract_movie(item) for item in work]
+        values = [_extract_keyframe(path) for path in paths]
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
     path = feat_dir / "MPEG7_ALL.keyframes.bin"
-    write_feature_bin(path, [
-        FeatureRecord(movie_id, kf, vector)
-        for movie_id, vectors in results
-        for kf, vector in vectors
-    ])
+    movie_ids, keyframes = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    write_features(path, FeatureTable("MPEG7_ALL", movie_ids, keyframes, np.array(values)))
     return [path]
 
 
-def _movie_level(records: list[FeatureRecord], kind: AggregationKind,
-                 source: Path) -> list[FeatureRecord]:
-    by_movie: dict[int, list[FeatureVector]] = {}
-    for rec in records:
-        by_movie.setdefault(rec.movie_id, []).append(rec.vector)
-    out = []
-    for movie_id, vectors in sorted(by_movie.items()):
+def _movie_level(table: FeatureTable, how: AggregationKind, source: Path) -> FeatureTable:
+    """Each movie's aggregate row, in id order, from rows one stable sort
+    groups; an overflow is a FormatError naming source, movie and kind."""
+    order = np.argsort(table.movie_id, kind="stable")
+    movie_ids, starts = np.unique(table.movie_id[order], return_index=True)
+    values = np.empty((len(movie_ids), table.values.shape[1]))
+    for j, rows in enumerate(np.split(order, starts[1:])):
         try:
-            out.append(FeatureRecord(movie_id, None, aggregate(vectors, kind)))
+            values[j] = aggregate(table.values[rows], how)
         except FormatError as exc:
-            raise _in_file(exc, f"{source}: movie {movie_id}") from None
-    return out
+            raise _in_file(exc, f"{source}: movie {movie_ids[j]}: {table.kind}") from None
+    return FeatureTable(table.kind, movie_ids, np.full(len(movie_ids), -1), values)
 
 
 def _aggregate_key(cfg: PipelineConfig, args: StageArgs):
@@ -344,26 +339,16 @@ def _aggregate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> l
     keyframes = cfg.cache_dir / "extract" / "features" / "MPEG7_ALL.keyframes.bin"
     agg_kind = AggregationKind(cfg.agg_mpeg7)
     path = feat_dir / "MPEG7_ALL.movies.bin"
-    write_feature_bin(path, _movie_level(read_feature_file(keyframes), agg_kind, keyframes))
+    write_features(path, _movie_level(read_features(keyframes), agg_kind, keyframes))
     outputs.append(path)
 
     if cfg.embeddings is not None:
         manifest = read_keyframe_manifest(cfg.cache_dir / "segment" / "keyframe_manifest.csv")
         table = load_embeddings(cfg.embeddings, expected=manifest)
-        dnn_records = [
-            FeatureRecord(movie_id, kf, FeatureVector("DNN", table[(movie_id, kf)]))
-            for movie_id, kf in manifest
-        ]
         path = feat_dir / "DNN.movies.bin"
-        write_feature_bin(path, _movie_level(dnn_records, AggregationKind(cfg.agg_dnn),
-                                             cfg.embeddings))
+        write_features(path, _movie_level(table, AggregationKind(cfg.agg_dnn), cfg.embeddings))
         outputs.append(path)
     return outputs
-
-
-def _records_to_matrix(records: list[FeatureRecord]) -> tuple[list[int], np.ndarray]:
-    ids = [r.movie_id for r in records]
-    return ids, np.vstack([r.vector.values for r in records])
 
 
 def _fuse_key(cfg: PipelineConfig, args: StageArgs):
@@ -372,33 +357,28 @@ def _fuse_key(cfg: PipelineConfig, args: StageArgs):
 
 
 def _fuse_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    m_ids, m_values = _records_to_matrix(read_feature_file(_family_feature_path(cfg, "mpeg7")))
-    d_ids, d_values = _records_to_matrix(read_feature_file(_family_feature_path(cfg, "dnn")))
-    if m_ids != d_ids:
+    mpeg7 = read_features(_family_feature_path(cfg, "mpeg7"))
+    dnn = read_features(_family_feature_path(cfg, "dnn"))
+    if not np.array_equal(mpeg7.movie_id, dnn.movie_id):
         raise AlignmentError("MPEG-7 and DNN movie-level files cover different movies")
 
     # fit on movies that actually carry training ratings; everything else
     # (cold items) is projected with the frozen model
-    rated_ids = set(load_ratings_csv(cfg.ratings).item_ids)
-    fit_rows = [i for i, movie_id in enumerate(m_ids) if movie_id in rated_ids]
-    if len(fit_rows) < 2:
+    fit_rows = np.isin(mpeg7.movie_id, load_ratings_csv(cfg.ratings).item_ids)
+    if fit_rows.sum() < 2:
         raise ParameterError("CCA needs at least 2 movies with ratings")
     try:
         model = fit_cca(
-            m_values[fit_rows], d_values[fit_rows], k=cfg.cca_k, ridge=cfg.cca_ridge
+            mpeg7.values[fit_rows], dnn.values[fit_rows], k=cfg.cca_k, ridge=cfg.cca_ridge
         )
-        fused = fuse_matrix(model, m_values, d_values)
+        fused = fuse_matrix(model, mpeg7.values, dnn.values)
     except FormatError as exc:  # MPEG-7 values are bounded; the DNN view overflowed
         raise FormatError(f"{cfg.embeddings}: cannot fuse the DNN embeddings: {exc}") from None
 
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
-    records = [
-        FeatureRecord(movie_id, None, FeatureVector("FUSED", row))
-        for movie_id, row in zip(m_ids, fused)
-    ]
     fused_path = feat_dir / "FUSED.movies.bin"
-    write_feature_bin(fused_path, records)
+    write_features(fused_path, FeatureTable("FUSED", mpeg7.movie_id, mpeg7.keyframe_index, fused))
     return [fused_path]
 
 
@@ -412,25 +392,16 @@ def _textfeat_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> li
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
     genre_path = feat_dir / "GENRE.movies.bin"
-    write_feature_bin(
-        genre_path,
-        [
-            FeatureRecord(movie_id, None, FeatureVector("GENRE", row))
-            for movie_id, row in zip(genre_ids, genre_matrix)
-        ],
-    )
+    movie_level = np.full(len(genre_ids), -1)  # both files list the catalog's movies
+    write_features(genre_path, FeatureTable("GENRE", genre_ids, movie_level, genre_matrix))
 
     lsa = fit_tag_lsa(load_tags_csv(cfg.tags), k=cfg.lsa_rank)
-    factor_of = {m: lsa.item_factors[i] for i, m in enumerate(lsa.item_ids)}
-    zero = np.zeros(lsa.k)
+    # a movie without tags takes the zero row appended last
+    factors = np.vstack([lsa.item_factors, np.zeros(lsa.k)])
+    row_of = {m: i for i, m in enumerate(lsa.item_ids)}
     lsa_path = feat_dir / "TAG_LSA.movies.bin"
-    write_feature_bin(
-        lsa_path,
-        [
-            FeatureRecord(movie_id, None, FeatureVector("TAG_LSA", factor_of.get(movie_id, zero)))
-            for movie_id, _, _ in catalog
-        ],
-    )
+    write_features(lsa_path, FeatureTable("TAG_LSA", genre_ids, movie_level,
+                                          factors[[row_of.get(m, -1) for m in genre_ids]]))
     return [genre_path, lsa_path]
 
 
@@ -449,8 +420,8 @@ def _family_feature_path(cfg: PipelineConfig, family: str) -> Path:
 def load_family_matrix(cfg: PipelineConfig, family: str):
     """(InteractionMatrix, FeatureMatrix) aligned on the union item universe."""
     cfg.require("ratings")
-    records = read_feature_file(_family_feature_path(cfg, family))
-    feat_ids, values = _records_to_matrix(records)
+    table = read_features(_family_feature_path(cfg, family))
+    feat_ids, values = table.movie_id.tolist(), table.values
     R = load_ratings_csv(cfg.ratings, item_ids=None)
     universe = sorted(set(R.item_ids) | set(feat_ids))
     missing = sorted(set(universe) - set(feat_ids))

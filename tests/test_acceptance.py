@@ -14,7 +14,6 @@ from visrec.evaluation import (
     compute_metrics,
     rank_one_plus_unrated,
 )
-from visrec.featureio import FeatureVector
 from visrec.fusion import fit_cca
 from visrec.media import FrameBuffer, FrameStream, hsv_to_rgb, parse_y4m, write_y4m
 from visrec.minidata import generate
@@ -99,17 +98,16 @@ def test_criterion_04_aggregation_algebra():
     for _ in range(1000):
         length = int(rng.integers(2, 12))
         count = int(rng.integers(1, 8))
-        vs = [FeatureVector("FUSED", rng.normal(size=length) * 10) for _ in range(count)]
-        inter = aggregate(vs, AggregationKind.INTERSECTION).values
-        med = aggregate(vs, AggregationKind.MEDIAN).values
-        avg = aggregate(vs, AggregationKind.AVERAGE).values
-        union = aggregate(vs, AggregationKind.UNION).values
+        vs = rng.normal(size=(count, length)) * 10  # one keyframe vector a row
+        inter = aggregate(vs, AggregationKind.INTERSECTION)
+        med = aggregate(vs, AggregationKind.MEDIAN)
+        avg = aggregate(vs, AggregationKind.AVERAGE)
+        union = aggregate(vs, AggregationKind.UNION)
         assert (inter <= med).all() and (med <= union).all()
         assert (inter <= avg + 1e-12).all() and (avg <= union + 1e-12).all()
-        perm = [vs[int(p)] for p in rng.permutation(count)]
+        perm = vs[rng.permutation(count)]
         for kind in AggregationKind:
-            assert np.array_equal(aggregate(vs, kind).values,
-                                  aggregate(perm, kind).values)
+            assert np.array_equal(aggregate(vs, kind), aggregate(perm, kind))
     report(4, "1000 random sets: ordering chain and bit-exact permutation invariance")
 
 

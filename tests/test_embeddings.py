@@ -25,9 +25,8 @@ def test_structural_load(tmp_path, rng):
     keys = [(1, 0), (1, 4), (2, 9)]
     write_dnn_file(tmp_path / "e.bin", keys, rng)
     table = load_embeddings(tmp_path / "e.bin")
-    assert len(table) == 3
-    assert set(table.keys()) == set(keys)
-    assert table[(1, 4)].shape == (1024,)
+    assert table.kind == "DNN" and table.values.shape == (3, 1024)
+    assert list(zip(table.movie_id.tolist(), table.keyframe_index.tolist())) == keys
 
 
 def test_wrong_length_names_row(tmp_path):
@@ -56,7 +55,7 @@ def test_exact_coverage_passes(tmp_path, rng):
     keys = [(1, 0), (2, 7)]
     write_dnn_file(tmp_path / "e.bin", keys, rng)
     table = load_embeddings(tmp_path / "e.bin", expected=keys)
-    assert len(table) == 2
+    assert len(table.values) == 2
 
 
 def test_order_independence(tmp_path, rng):
@@ -68,9 +67,8 @@ def test_order_independence(tmp_path, rng):
     write_feature_csv(tmp_path / "rev.csv", records[::-1])
     t1 = load_embeddings(tmp_path / "fwd.csv")
     t2 = load_embeddings(tmp_path / "rev.csv")
-    assert set(t1.keys()) == set(t2.keys())
-    for key in t1.keys():
-        np.testing.assert_array_equal(t1[key], t2[key])
+    assert t1.movie_id.tolist() == t2.movie_id.tolist()[::-1]
+    np.testing.assert_array_equal(t1.values, t2.values[::-1])
 
 
 def test_duplicates_rejected(tmp_path, rng):
@@ -83,6 +81,18 @@ def test_duplicates_rejected(tmp_path, rng):
         load_embeddings(tmp_path / "dup.csv")
 
 
+@pytest.mark.parametrize("keys, error, row", [
+    ([(2, 5), (1, 0), (3, 3), (1, 0), (2, 5)], DuplicateKeyError, 3),
+    ([(1, 0), (1, None), (1, 0)], FormatError, 1),
+    ([(1, 0), (1, 0), (1, None)], DuplicateKeyError, 1),
+    ([(1, None), (2, 0), (1, None)], FormatError, 0),
+])
+def test_first_bad_row_is_named(tmp_path, rng, keys, error, row):
+    write_dnn_file(tmp_path / "e.bin", keys, rng)
+    with pytest.raises(error, match=f"e.bin row {row}: "):
+        load_embeddings(tmp_path / "e.bin")
+
+
 def test_movie_level_record_rejected(tmp_path, rng):
     records = [FeatureRecord(1, None, FeatureVector("DNN", rng.random(1024)))]
     write_feature_bin(tmp_path / "nokf.bin", records)
@@ -93,5 +103,13 @@ def test_movie_level_record_rejected(tmp_path, rng):
 def test_wrong_kind_rejected(tmp_path, rng):
     records = [FeatureRecord(1, 0, FeatureVector("EHD", rng.random(80)))]
     write_feature_bin(tmp_path / "ehd.bin", records)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="row 0: expected kind DNN, got EHD"):
         load_embeddings(tmp_path / "ehd.bin")
+
+
+def test_header_only_file_covers_nothing(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("movie_id,keyframe_index,kind," + ",".join(f"v{i}" for i in range(1024)) + "\n")
+    assert len(load_embeddings(path).values) == 0
+    with pytest.raises(CoverageError, match=r"missing keyframes \[\(1, 0\)\]"):
+        load_embeddings(path, expected=[(1, 0)])

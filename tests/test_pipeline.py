@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 import visrec
 from visrec import descriptors, pipeline, recsys
+from visrec.aggregate import AggregationKind
 from visrec.cli import main
 from visrec.evaluation import make_splits
 from visrec.errors import (
@@ -24,11 +26,14 @@ from visrec.errors import (
 )
 from visrec.featureio import (
     FeatureRecord,
+    FeatureTable,
     FeatureVector,
     read_feature_file,
+    read_features,
     read_keyframe_manifest,
     write_arrays,
     write_feature_bin,
+    write_features,
 )
 from visrec.media import parse_y4m
 from visrec.minidata import generate
@@ -326,6 +331,22 @@ class TestStageOutputs:
             features.append((cfg.cache_dir / "extract" / "features"
                              / "MPEG7_ALL.keyframes.bin").read_bytes())
         assert features[0] == features[1]
+
+    def test_movie_level_reads_the_keyframe_file_without_copying_it(self, tmp_path):
+        # 20 movies x 30 keyframes x 774 values, rows in no movie order
+        rng = np.random.default_rng(4)
+        movie_ids = rng.permutation(np.repeat(np.arange(1, 21), 30))
+        path = tmp_path / "MPEG7_ALL.keyframes.bin"
+        write_features(path, FeatureTable("MPEG7_ALL", movie_ids, np.zeros(600, dtype=np.int64),
+                                          rng.random((600, 774))))
+        tracemalloc.start()
+        try:
+            table = pipeline._movie_level(read_features(path), AggregationKind.AVERAGE, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.movie_id.tolist() == list(range(1, 21))
+        assert peak < 1.5 * path.stat().st_size
 
     def test_fuse_and_textfeat_and_train(self, mini):
         cfg = load_cfg(mini)
@@ -730,6 +751,21 @@ class TestCli:
         assert ran == stages + [f"evaluate {family}" for family in families]
         built = sorted(p.name for p in (tmp_path / "cache").iterdir())
         assert built == sorted(stages + ["evaluate"])
+
+    def test_record_api_rewrites_every_feature_file_byte_for_byte(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "epochs": 1}))
+        invoke(cfg_path, "run-all")
+        cache = tmp_path / "cache"
+        written = sorted(p.relative_to(cache).as_posix() for p in cache.glob("*/features/*.bin"))
+        assert written == [
+            "aggregate/features/DNN.movies.bin", "aggregate/features/MPEG7_ALL.movies.bin",
+            "extract/features/MPEG7_ALL.keyframes.bin", "fuse/features/FUSED.movies.bin",
+            "textfeat/features/GENRE.movies.bin", "textfeat/features/TAG_LSA.movies.bin"]
+        for name in written:
+            copy = tmp_path / "copy.bin"
+            write_feature_bin(copy, read_feature_file(cache / name))
+            assert copy.read_bytes() == (cache / name).read_bytes(), name
 
     def test_evaluate_every_configured_family(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
