@@ -62,7 +62,7 @@ def _run(ctx, stages, family="mpeg7", overrides=None):
               help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for per-movie stages.")
+              help="Worker processes for segment, extract and evaluate.")
 @click.option("--force", is_flag=True, help="Rebuild even if cached artifacts exist.")
 @click.pass_context
 def main(ctx, config, seed, jobs, force):

@@ -267,6 +267,11 @@ def _gabor_bank(height: int, width: int) -> np.ndarray:
     omega = np.hypot(fx, fy)
     theta = np.arctan2(fy, fx)
     sigma_theta = (math.pi / 12.0) / _HALF_PEAK
+    angular = []  # each orientation's factor, shared by the scales
+    for r in range(HTD_ORIENTATIONS):
+        theta0 = math.pi * r / HTD_ORIENTATIONS
+        dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
+        angular.append(np.exp(-0.5 * (dtheta / sigma_theta) ** 2))
     half = width // 2 + 1
     bank = np.empty((HTD_SCALES * HTD_ORIENTATIONS, height, half))
     for s in range(HTD_SCALES):
@@ -274,9 +279,7 @@ def _gabor_bank(height: int, width: int) -> np.ndarray:
         sigma_f = f0 / (3.0 * _HALF_PEAK)
         radial = np.exp(-0.5 * ((omega - f0) / sigma_f) ** 2)
         for r in range(HTD_ORIENTATIONS):
-            theta0 = math.pi * r / HTD_ORIENTATIONS
-            dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
-            g = radial * np.exp(-0.5 * (dtheta / sigma_theta) ** 2)
+            g = radial * angular[r]
             g[0, 0] = 0.0
             # g at -f: index (-i mod height, -j mod width)
             mirrored = np.roll(g[::-1, ::-1], 1, axis=(0, 1))

@@ -13,14 +13,19 @@ outputs it lists, calls ``build`` and writes a fresh manifest of input
 digests, parameters, seed and output digests. A mismatch is an error unless
 forced, so cached features are never silently rebuilt or reused across
 input changes, and a build that stops midway leaves no manifest.
-``recommend_items`` is a query, not a stage.
+Segment's videos, extract's keyframes and evaluate's folds are independent
+tasks, which ``_map`` runs in worker processes under ``--jobs``.
+``recommend_items`` is a query, not a stage; it serves a model only while
+train's manifest holds the key ``run_stage`` would compute now.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -56,6 +61,7 @@ from .media import FrameBuffer, parse_y4m
 from .recsys import (
     FeatureMatrix,
     TrainConfig,
+    feature_spectrum,
     load_model,
     load_ratings_csv,
     recommend,
@@ -201,6 +207,35 @@ def _config_inputs(cfg: PipelineConfig, *names: str) -> dict[str, str]:
     return {name: _digest_file(Path(getattr(cfg, name))) for name in names}
 
 
+_task = None  # in a pool worker, the function _map applies
+
+
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _run_task(item):
+    return _task(item)
+
+
+def _map(jobs: int, fn, items) -> list:
+    """``[fn(item) for item in items]``, in input order: in a pool of up to
+    ``jobs`` worker processes when ``jobs > 1`` and there is more than one
+    item, else in this process. ``fn``, with whatever it binds, reaches each
+    worker once, through the pool's initializer, and each task carries only
+    its item. A task's error is raised here, and the tasks still queued are
+    cancelled."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_set_task,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_run_task, items))
+
+
 # ---------------------------------------------------------------------------
 # Stages: key(cfg, args) checks preconditions and returns what the cache key
 # hashes; build(cfg, args, stage_dir) writes the artifacts.
@@ -250,24 +285,29 @@ def _segment_key(cfg: PipelineConfig, args: StageArgs):
     return {"videos": videos}, {"threshold": cfg.threshold, "keyframes": _KEYFRAME_PATH}, None
 
 
+def _segment_video(threshold: float, stage_dir: Path, video: tuple[int, Path]) -> list:
+    """Task: cut one video and write its keyframes; returns (movie, frame,
+    path) for each keyframe."""
+    movie_id, path = video
+    try:
+        stream = parse_y4m(path.read_bytes())
+    except FormatError as exc:
+        raise _in_file(exc, path) from None
+    keyframes = []
+    for kf in detect_shots(stream, threshold=threshold).keyframes:
+        out = stage_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_arrays(out, "frame", {}, pixels=stream.frames[kf].pixels)
+        keyframes.append((movie_id, kf, out))
+    return keyframes
+
+
 def _segment_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    outputs = []
-    manifest_entries = []
-    for movie_id, video in _videos(cfg):
-        try:
-            stream = parse_y4m(video.read_bytes())
-        except FormatError as exc:
-            raise _in_file(exc, video) from None
-        for kf in detect_shots(stream, threshold=cfg.threshold).keyframes:
-            path = stage_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_arrays(path, "frame", {}, pixels=stream.frames[kf].pixels)
-            outputs.append(path)
-            manifest_entries.append((movie_id, kf))
+    cut = partial(_segment_video, cfg.threshold, stage_dir)
+    keyframes = [entry for video in _map(args.jobs, cut, _videos(cfg)) for entry in video]
     kf_manifest = stage_dir / "keyframe_manifest.csv"
-    write_keyframe_manifest(kf_manifest, manifest_entries)
-    outputs.append(kf_manifest)
-    return outputs
+    write_keyframe_manifest(kf_manifest, [(movie_id, kf) for movie_id, kf, _ in keyframes])
+    return [path for _, _, path in keyframes] + [kf_manifest]
 
 
 def _read_keyframe(path: str | Path) -> FrameBuffer:
@@ -286,24 +326,20 @@ def _read_keyframe(path: str | Path) -> FrameBuffer:
 
 
 def _extract_keyframe(path: str) -> np.ndarray:
-    """Worker: the 774-element MPEG-7 vector of one keyframe."""
+    """Task: the 774-element MPEG-7 vector of one keyframe."""
     return descriptors.mpeg7_all(_read_keyframe(path)).values
 
 
 def _extract_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     segment_dir = cfg.cache_dir / "segment"
+    kf_manifest = segment_dir / "keyframe_manifest.csv"
     # movie by movie, each movie's keyframes in manifest order
-    keys = sorted(read_keyframe_manifest(segment_dir / "keyframe_manifest.csv"),
-                  key=lambda key: key[0])
+    keys = sorted(read_keyframe_manifest(kf_manifest), key=lambda key: key[0])
+    if not keys:
+        raise EmptyInputError(f"{kf_manifest} lists no keyframes")
     paths = [str(segment_dir / _KEYFRAME_PATH.format(movie_id=movie_id, kf=kf))
              for movie_id, kf in keys]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(_extract_keyframe, paths))
-    else:
-        values = [_extract_keyframe(path) for path in paths]
+    values = _map(args.jobs, _extract_keyframe, paths)
     feat_dir = stage_dir / "features"
     feat_dir.mkdir(exist_ok=True)
     path = feat_dir / "MPEG7_ALL.keyframes.bin"
@@ -441,13 +477,20 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
 
-def _train(cfg: PipelineConfig, family: str, R, F):
-    """``train_collective_slim`` under the config's hyper-parameters; features
-    too large to standardize are a FormatError naming the family's file."""
+@contextmanager
+def _naming_features(cfg: PipelineConfig, family: str):
+    """Features too large to standardize are a FormatError naming the
+    family's file."""
     try:
-        return train_collective_slim(R, F, _train_config(cfg))
+        yield
     except FormatError as exc:
         raise _in_file(exc, _family_feature_path(cfg, family)) from None
+
+
+def _train(cfg: PipelineConfig, family: str, R, F, spectrum=None):
+    """``train_collective_slim`` under the config's hyper-parameters."""
+    with _naming_features(cfg, family):
+        return train_collective_slim(R, F, _train_config(cfg), spectrum)
 
 
 def _train_key(cfg: PipelineConfig, args: StageArgs):
@@ -466,26 +509,40 @@ def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[
     return [path]
 
 
-def run_evaluation(cfg: PipelineConfig, family: str) -> EvalReport:
+def _evaluate_fold(cfg: PipelineConfig, family: str, R, F, spectrum, split):
+    """Task: train on one fold's training entries and score its held-out
+    ones; returns the fold's metrics and skipped count."""
+    R_train = R.restrict(split.train_idx)
+    model = _train(cfg, family, R_train, F, spectrum)
+    eval_idx = split.test_idx if cfg.eval_on == "test" else split.val_idx
+    entries = [
+        (
+            R.user_ids[R.entry_users[i]],
+            R.item_ids[R.entry_items[i]],
+            R.entry_ratings[i],
+        )
+        for i in eval_idx
+    ]
+    obs, skipped = collect_observations(
+        model, R_train, entries, relevance_threshold=cfg.relevance_threshold
+    )
+    return compute_metrics(obs, cutoffs=cfg.cutoffs), skipped
+
+
+def run_evaluation(cfg: PipelineConfig, family: str, jobs: int = 1) -> EvalReport:
+    """The folds' report. The feature spectrum, which every fold's training
+    shares, is built once, here; the folds run as ``_map`` tasks and are
+    added in fold order."""
+    import scipy.special  # noqa: F401  (training's; imported once, before workers fork)
+
     R, F = load_family_matrix(cfg, family)
     splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
+    with _naming_features(cfg, family):
+        spectrum = feature_spectrum(F) if cfg.alpha < 1.0 else None
     report = EvalReport(cutoffs=cfg.cutoffs)
-    for split in splits:
-        R_train = R.restrict(split.train_idx)
-        model = _train(cfg, family, R_train, F)
-        eval_idx = split.test_idx if cfg.eval_on == "test" else split.val_idx
-        entries = [
-            (
-                R.user_ids[R.entry_users[i]],
-                R.item_ids[R.entry_items[i]],
-                R.entry_ratings[i],
-            )
-            for i in eval_idx
-        ]
-        obs, skipped = collect_observations(
-            model, R_train, entries, relevance_threshold=cfg.relevance_threshold
-        )
-        report.add_fold(compute_metrics(obs, cutoffs=cfg.cutoffs), skipped)
+    for metrics, skipped in _map(jobs, partial(_evaluate_fold, cfg, family, R, F, spectrum),
+                                 splits):
+        report.add_fold(metrics, skipped)
     return report
 
 
@@ -498,7 +555,7 @@ def _evaluate_key(cfg: PipelineConfig, args: StageArgs):
 
 
 def _evaluate_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
-    report = run_evaluation(cfg, args.family)
+    report = run_evaluation(cfg, args.family, args.jobs)
     path = stage_dir / f"report_{args.family}.csv"
     path.write_text(report.to_csv())
     print(f"== {args.family} ==")
@@ -549,6 +606,35 @@ def _remove_outputs(stage_dir: Path, outputs) -> None:
             parent = parent.parent
 
 
+def _stage_key(stage: str, cfg: PipelineConfig, args: StageArgs):
+    """What ``stage``'s cache key hashes (the needed stages' manifests and
+    its own key's inputs, then its parameters), the key, and the manifest
+    file that records it."""
+    inputs = {need: _digest_file(_manifest_path(_require_stage(cfg, need)))
+              for need in STAGES[stage].needs}
+    own_inputs, params, variant = STAGES[stage].key(cfg, args)
+    inputs.update(own_inputs)
+    key = _cache_key(inputs, params, cfg.seed)
+    return inputs, params, key, _manifest_path(cfg.cache_dir / stage, variant)
+
+
+def _read_manifest(manifest_file: Path):
+    """The manifest's JSON value, or None if it does not parse."""
+    try:
+        return json.loads(manifest_file.read_text())
+    except (ValueError, RecursionError):
+        return None
+
+
+def _check_fresh(stage: str, manifest_file: Path, cached, key: str) -> None:
+    """A StaleCacheError unless the manifest read as ``cached`` records ``key``."""
+    if isinstance(cached, dict) and cached.get("key") == key:
+        return
+    why = ("cached artifacts built from different inputs or parameters"
+           if isinstance(cached, dict) else f"an unreadable {manifest_file.name}")
+    raise StaleCacheError(f"stage {stage!r} has {why}; re-run with --force to rebuild")
+
+
 def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
               force: bool = False, jobs: int = 1) -> list[Path]:
     """Run one stage through the cache; returns its outputs, or [] if up to date.
@@ -568,24 +654,13 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
     cfg.cache_dir = Path(cfg.cache_dir)
     cfg.cache_dir.mkdir(parents=True, exist_ok=True)
     args = StageArgs(family=family, jobs=jobs)
-    inputs = {need: _digest_file(_manifest_path(_require_stage(cfg, need)))
-              for need in STAGES[stage].needs}
-    own_inputs, params, variant = STAGES[stage].key(cfg, args)
-    inputs.update(own_inputs)
-    key = _cache_key(inputs, params, cfg.seed)
-    stage_dir = cfg.cache_dir / stage
-    manifest_file = _manifest_path(stage_dir, variant)
+    inputs, params, key, manifest_file = _stage_key(stage, cfg, args)
+    stage_dir = manifest_file.parent
     exists = manifest_file.exists()
-    try:
-        cached = json.loads(manifest_file.read_text()) if exists else None
-    except (ValueError, RecursionError):
-        cached = None
+    cached = _read_manifest(manifest_file) if exists else None
     if exists and not force:
-        if isinstance(cached, dict) and cached.get("key") == key:
-            return []
-        why = ("cached artifacts built from different inputs or parameters"
-               if isinstance(cached, dict) else f"an unreadable {manifest_file.name}")
-        raise StaleCacheError(f"stage {stage!r} has {why}; re-run with --force to rebuild")
+        _check_fresh(stage, manifest_file, cached, key)
+        return []
     manifest_file.unlink(missing_ok=True)
     if isinstance(cached, dict):
         _remove_outputs(stage_dir, cached.get("outputs"))
@@ -605,9 +680,13 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
 
 def recommend_items(cfg: PipelineConfig, family: str, user: int, n: int) -> list[int]:
     """Top-n unrated items for ``user`` from the trained ``family`` model: a
-    query outside the stage cache that reads no seed and hashes or writes nothing."""
+    query outside the stage cache that writes nothing. The model must be the
+    one ``train`` would build now: its manifest must hold the key
+    ``run_stage`` computes, or the query is a StaleCacheError."""
     cfg.require("ratings")
     train_dir = _require_stage(cfg, "train", variant=family)
+    _, _, key, manifest_file = _stage_key("train", cfg, StageArgs(family=family, jobs=1))
+    _check_fresh("train", manifest_file, _read_manifest(manifest_file), key)
     model = load_model(train_dir / f"model_{family}.bin")
     R = load_ratings_csv(cfg.ratings, item_ids=list(model.item_ids))
     return recommend(model, R, user, n)

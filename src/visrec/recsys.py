@@ -18,7 +18,9 @@ triple reads it. Triples on disjoint rows commute, so each epoch's triples
 are drawn first and applied a level of disjoint triples at a time. One
 triple costs O(k^2 + |rated| k), against O(n k) for a feature step over all
 rows and O(n^2 d) on a dense S, and the iterates are the same up to
-rounding. S is materialised once per epoch.
+rounding. S is materialised once per epoch. What training needs of the
+features alone, G and every row's eigen-decomposition, is one immutable
+``FeatureSpectrum``, which trainings on the same features can share.
 
 Serving needs numpy alone: the rating matrix is kept as plain numpy CSR
 arrays, and scipy is imported only by training (for ``expit``).
@@ -453,26 +455,25 @@ def _secular_roots(d, w2, active):
     return origin, np.where(valid, tau, -np.inf), lam, scale, coord, hhat_d
 
 
-class _LazyRows:
-    """Training state whose rows catch up on feature steps only when read.
+class FeatureSpectrum:
+    """What training needs of the features alone: immutable, so that one
+    spectrum serves every training on the same features (the folds of an
+    evaluation among them).
 
-    Each item row r holds ``B[r]`` (column r of S's ranking part, over a
-    per-row ``scale``), ``Z[r]``, ``P[r]`` and the step count ``clock[r]``
-    it is current to. ``G`` is the thin feature factor with ``G^T G =
-    diag(d)``, ``d`` ascending; ``k = 0`` trains without features. Every row's spectrum of ``K_r`` is found once; eigenvectors
-    are formed slice by slice when rows advance, so storage stays O(n k).
+    ``G`` is the thin feature factor with ``G^T G = diag(d)``, ``d``
+    ascending; ``k = 0`` trains without features. Every row r's spectrum of
+    ``K_r = diag(d) - g_r^T g_r`` is found here, once; eigenvectors are
+    formed slice by slice when rows advance, so storage stays O(n k).
+    ``source`` is the FeatureMatrix the factor came from (see
+    ``feature_spectrum``), or None for a factor given directly.
     """
 
-    def __init__(self, G, d, decay, gain):
+    @np.errstate(all="ignore")
+    def __init__(self, G, d, source: FeatureMatrix | None = None):
         n, k = G.shape
-        self.decay, self.gain = decay, gain
-        self.B = np.zeros((n, n + 1))  # column n is the padding target
+        self.source = source
+        self.d = d.copy()
         self.G_pad = np.vstack([G, np.zeros((1, k))])  # row n pads rated rows too
-        self.scale = np.ones(n)
-        self.Z = np.zeros((n, k))
-        self.P = np.zeros((n, k))
-        self.clock = np.zeros(n, dtype=np.int64)
-        self.sse = 0.0
         # poles within rounding of each other merge: K_r moves by at most that
         fresh = np.diff(d, prepend=-np.inf) > 8.0 * _EPS * d.max(initial=0.0)
         self.cluster = np.cumsum(fresh) - 1
@@ -505,15 +506,13 @@ class _LazyRows:
         wc = self.cluster[self.wcols]
         self.same = (wc[:, None] == wc[None, :]).astype(float)
         self.merged = ~single[wc]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
-    def advance(self, rows, target):
-        """Bring each of ``rows`` to its step in ``target``, adding the
-        residuals of the steps to ``sse``."""
-        behind = self.clock[rows] < target
-        rows, target = rows[behind], target[behind]
-        for sl in _slices(len(rows), self.Z.shape[1] * len(self.poles)):
-            self._advance(rows[sl], target[sl])
-        self.clock[rows] = target
+    @property
+    def G(self) -> np.ndarray:
+        return self.G_pad[:-1]
 
     def cauchy(self, rows):
         """``1 / (d_j - lambda_c)`` for each row, column j and root c, each
@@ -522,6 +521,50 @@ class _LazyRows:
         inv = self.col_aug[rows] @ self.root_aug[rows]
         inv -= self.tau[rows][:, None, :]
         return np.reciprocal(inv, out=inv)
+
+
+def feature_spectrum(F: FeatureMatrix) -> FeatureSpectrum:
+    """The spectrum of F's standardized columns, for ``train_collective_slim``.
+
+    The feature term sees the standardized features only through their item
+    Gram, so training uses their thin factor ``G = U * sigma`` from one thin
+    SVD, keeping the k positive singular values, in ascending order.
+    Features too large to standardize raise FormatError.
+    """
+    G = standardize_columns(F.values)
+    U, sigma, _ = np.linalg.svd(G, full_matrices=False)
+    keep = sigma > sigma.max(initial=0.0) * max(G.shape) * _EPS
+    return FeatureSpectrum((U * sigma)[:, keep][:, ::-1], sigma[keep][::-1] ** 2, F)
+
+
+class _LazyRows:
+    """Training state whose rows catch up on feature steps only when read.
+
+    Each item row r holds ``B[r]`` (column r of S's ranking part, over a
+    per-row ``scale``), ``Z[r]``, ``P[r]`` and the step count ``clock[r]``
+    it is current to; ``spectrum`` holds what the steps need of the
+    features.
+    """
+
+    def __init__(self, spectrum: FeatureSpectrum, decay, gain):
+        n, k = spectrum.G.shape
+        self.spectrum = spectrum
+        self.decay, self.gain = decay, gain
+        self.B = np.zeros((n, n + 1))  # column n is the padding target
+        self.scale = np.ones(n)
+        self.Z = np.zeros((n, k))
+        self.P = np.zeros((n, k))
+        self.clock = np.zeros(n, dtype=np.int64)
+        self.sse = 0.0
+
+    def advance(self, rows, target):
+        """Bring each of ``rows`` to its step in ``target``, adding the
+        residuals of the steps to ``sse``."""
+        behind = self.clock[rows] < target
+        rows, target = rows[behind], target[behind]
+        for sl in _slices(len(rows), self.Z.shape[1] * len(self.spectrum.poles)):
+            self._advance(rows[sl], target[sl])
+        self.clock[rows] = target
 
     def _advance(self, rows, target):
         steps = (target - self.clock[rows]).astype(np.float64)[:, None]
@@ -532,23 +575,24 @@ class _LazyRows:
             self.B[rows[small]] *= scale[small, None]
             scale[small] = 1.0
         self.scale[rows] = scale
-        kc = len(self.poles)
+        sp = self.spectrum
+        kc = len(sp.poles)
         if not kc:
             return
-        z, p, uh = self.Z[rows], self.P[rows], self.uh[rows]
-        inv = self.cauchy(rows)
-        inv_norm = self.inv_norm[rows]
+        z, p, uh = self.Z[rows], self.P[rows], sp.uh[rows]
+        inv = sp.cauchy(rows)
+        inv_norm = sp.inv_norm[rows]
         yq = (np.stack([z * uh, p * uh], axis=1) @ inv) * inv_norm[:, None, :]
-        y0, q0, a, lam = yq[:, 0], yq[:, 1], self.coord[rows], self.lam[rows]
-        wc = self.wcols
+        y0, q0, a, lam = yq[:, 0], yq[:, 1], sp.coord[rows], sp.lam[rows]
+        wc = sp.wcols
         if wc.size:  # the rest of each row: eigenspaces of merged and deflated poles
-            g, on = self.G_pad[rows][:, wc], self.active[rows][:, self.cluster[wc]]
-            u = np.where(on, g / self.h[rows][:, self.cluster[wc]], 0.0)
-            wz, wp = (np.where(on, np.where(self.merged, x - u * ((x * u) @ self.same), 0.0), x)
+            g, on = sp.G_pad[rows][:, wc], sp.active[rows][:, sp.cluster[wc]]
+            u = np.where(on, g / sp.h[rows][:, sp.cluster[wc]], 0.0)
+            wz, wp = (np.where(on, np.where(sp.merged, x - u * ((x * u) @ sp.same), 0.0), x)
                       for x in (z[:, wc], p[:, wc]))
             y0, q0 = np.hstack([y0, wz]), np.hstack([q0, wp])
             a = np.hstack([a, np.where(on, 0.0, g)])
-            lam = np.hstack([lam, np.broadcast_to(self.poles[self.cluster[wc]], g.shape)])
+            lam = np.hstack([lam, np.broadcast_to(sp.poles[sp.cluster[wc]], g.shape)])
         y, sse = _closed_form(y0, q0, a, lam, steps, self.decay, self.gain)
         z = uh * (inv @ (y[:, :kc] * inv_norm)[:, :, None])[:, :, 0]
         z[:, wc] += y[:, kc:]
@@ -597,7 +641,7 @@ def _apply_triples(state, R, users, both, pos, cfg, expit):
     at = np.minimum(start[:, None] + span, len(R.indices) - 1)
     idx = np.where(inside, R.indices[at], R.n_items)
     val = np.where(inside, R.data[at], 0.0)
-    G_idx = state.G_pad[idx]  # (m, W, k)
+    G_idx = state.spectrum.G_pad[idx]  # (m, W, k)
     scale = state.scale[both][:, :, None]
     cols = state.B[both[:, :, None], idx[:, None, :]] * scale  # S[idx, i], S[idx, j]
     cols += state.Z[both] @ G_idx.transpose(0, 2, 1)
@@ -617,7 +661,8 @@ def _apply_triples(state, R, users, both, pos, cfg, expit):
 
 
 def train_collective_slim(
-    R: InteractionMatrix, F: FeatureMatrix, cfg: TrainConfig
+    R: InteractionMatrix, F: FeatureMatrix, cfg: TrainConfig,
+    spectrum: FeatureSpectrum | None = None,
 ) -> SimilarityModel:
     """Learn S from sampled ranking triples (weight alpha), each triple
     update followed by one gradient step on the feature-reconstruction term
@@ -629,9 +674,10 @@ def train_collective_slim(
     any ``learning_rate * (1 - alpha) <= 0.5`` and keeps the two pulls in
     balance, so the ranking updates cannot outrun the reconstruction term.
 
-    The feature term sees the standardized features only through their item
-    Gram, so training uses their thin factor ``G = U * sigma`` from one thin
-    SVD, keeping the k positive singular values, in ascending order.
+    What training needs of the features alone is their ``FeatureSpectrum``
+    (see ``feature_spectrum``). It is built here unless ``spectrum`` gives
+    it, prebuilt from F, so that trainings on the same features share it;
+    one built from other items or values is an AlignmentError.
 
     S is never formed inside an epoch. Column t of S is ``scale_t * B[t] +
     G @ Z[t]`` with the diagonal read as zero, and a feature step maps each
@@ -655,8 +701,18 @@ def train_collective_slim(
         raise AlignmentError(
             "feature matrix items and interaction matrix items are not aligned"
         )
+    if spectrum is not None and (spectrum.source is None
+                                 or spectrum.source.item_ids != F.item_ids
+                                 or not np.array_equal(spectrum.source.values, F.values)):
+        raise AlignmentError("the feature spectrum was built from other features")
     n = R.n_items
-    G = standardize_columns(F.values)
+    lr, alpha, gamma = cfg.learning_rate, cfg.alpha, cfg.gamma
+    if alpha == 1.0:  # no feature term: train on an empty factor
+        if spectrum is None:
+            standardize_columns(F.values)  # features too large to standardize are refused
+        spectrum = FeatureSpectrum(np.zeros((n, 0)), np.zeros(0))
+    elif spectrum is None:
+        spectrum = feature_spectrum(F)
     rated_set = [set(R.indices[R.indptr[u] : R.indptr[u + 1]].tolist())
                  for u in range(R.n_users)]
     # (user, positive item, position of the item in the user's rated row)
@@ -666,13 +722,7 @@ def train_collective_slim(
     relevant = (R.data >= cfg.relevance_threshold) & (rated_count[user_of] < n)
     pair_user, pair_item, pair_pos = user_of[relevant], R.indices[relevant], position[relevant]
 
-    lr, alpha, gamma = cfg.learning_rate, cfg.alpha, cfg.gamma
-    sigma2 = np.zeros(0)
-    if alpha < 1.0:  # same item Gram; the k x k Gram is diag(sigma2)
-        U, sigma, _ = np.linalg.svd(G, full_matrices=False)
-        keep = sigma > sigma.max(initial=0.0) * max(G.shape) * _EPS
-        G, sigma2 = (U * sigma)[:, keep][:, ::-1], sigma[keep][::-1] ** 2
-    lam_f = float(sigma2.max(initial=0.0))
+    lam_f = float(spectrum.d.max(initial=0.0))  # the k x k Gram is diag(d)
     use_features = lam_f > 0.0
     run_bpr = alpha > 0.0 and len(pair_user) > 0
     # without ranking triples to pace them, run enough feature steps per
@@ -681,17 +731,16 @@ def train_collective_slim(
         feature_steps = min(400, max(1, round(2.0 / (lr * (1.0 - alpha)))))
     else:
         feature_steps = 0
-    if not use_features:  # no feature steps: nothing decays between triples
-        G, sigma2 = np.zeros((n, 0)), np.zeros(0)
     decay = 1.0 - lr * gamma if use_features else 1.0
     gain = lr * 2.0 * (1.0 - alpha) / lam_f if use_features else 0.0
 
     rng = np.random.default_rng(cfg.seed)
     history = []
     everyone = np.arange(n)
+    G = spectrum.G
+    k = G.shape[1]
     with np.errstate(all="ignore"):
-        state = _LazyRows(G, sigma2, decay, gain)
-        k = G.shape[1]
+        state = _LazyRows(spectrum, decay, gain)
         for epoch in range(cfg.epochs):
             state.sse = 0.0
             state.clock[:] = 0

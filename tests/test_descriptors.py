@@ -7,6 +7,7 @@ import pytest
 from visrec.descriptors import (
     _csd_subsample_factor,
     _ehd_block_size,
+    _gabor_bank,
     cld,
     csd,
     ehd,
@@ -21,6 +22,7 @@ from visrec.shots import hsv_cell_indices
 
 from conftest import random_frame, solid_frame
 from oracles import (
+    _gabor_bank_full,
     csd_oracle,
     csd_presence_oracle,
     dct2_oracle,
@@ -291,6 +293,16 @@ class TestHtd:
     def test_too_small_frame(self):
         with pytest.raises(SizeError):
             htd(solid_frame((0, 0, 0), 16, 16))
+
+    @pytest.mark.parametrize("height, width", [(32, 32), (33, 47), (48, 35), (97, 64)])
+    def test_gabor_bank_is_the_symmetrised_full_bank(self, height, width):
+        # g(-f) sits at index (-i mod height, -j mod width); rfft2 keeps the
+        # width // 2 + 1 non-negative column frequencies
+        full = _gabor_bank_full(height, width)
+        mirrored = np.roll(full[:, ::-1, ::-1], 1, axis=(1, 2))
+        half = width // 2 + 1
+        symmetrised = 0.5 * (full[:, :, :half] + mirrored[:, :, :half])
+        assert np.array_equal(_gabor_bank(height, width), symmetrised)
 
     @pytest.mark.parametrize("height, width", [(240, 320), (32, 32), (97, 131), (33, 47),
                                                (64, 97), (97, 64)])

@@ -18,6 +18,8 @@ from visrec.evaluation import make_splits
 from visrec.errors import (
     ConfigError,
     DependencyError,
+    DivergenceError,
+    EmptyInputError,
     FormatError,
     MissingUserError,
     ParameterError,
@@ -62,6 +64,14 @@ def cli_config(mini, tmp_path):
     cfg_data["cache_dir"] = str(tmp_path / "cache")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_data))
+    return cfg_path
+
+
+def one_epoch_config(mini, tmp_path):
+    """``cli_config`` training one epoch: set in the file, not by ``--epochs``,
+    since ``recommend`` serves only the model the config's ``train`` builds."""
+    cfg_path = cli_config(mini, tmp_path)
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "epochs": 1}))
     return cfg_path
 
 
@@ -368,6 +378,15 @@ class TestStageOutputs:
         assert items == served_items(cfg, "mpeg7", 1, 3) and len(items) == 3
         assert "recommend" not in pipeline.STAGES
         assert not (cfg.cache_dir / "recommend").exists()
+
+    def test_evaluation_pool_gives_the_serial_report(self, mini):
+        cfg = load_cfg(mini)
+        for stage in ("segment", "extract", "aggregate"):
+            run_stage(stage, cfg)
+        cfg.epochs = 2
+        reports = [pipeline.run_evaluation(cfg, "mpeg7", jobs=jobs) for jobs in (1, 2)]
+        assert reports[0] == reports[1] and reports[0].to_csv() == reports[1].to_csv()
+        assert len(reports[0].skipped) == cfg.folds
 
     def test_evaluate_report_deterministic(self, mini):
         cfg = load_cfg(mini)
@@ -687,7 +706,8 @@ class TestCli:
                 f"{len(data)}") in result.output
         assert not (tmp_path / "cache" / "extract" / "manifest.json").exists()
 
-    def test_truncated_video_exits_naming_the_file(self, mini, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_truncated_video_exits_naming_the_file(self, mini, tmp_path, jobs):
         cfg_path = cli_config(mini, tmp_path)
         videos = shutil.copytree(mini.parent / "videos", tmp_path / "videos")
         cfg_data = json.loads(cfg_path.read_text())
@@ -695,12 +715,38 @@ class TestCli:
         invoke(cfg_path, "segment")
         video = videos / "2.y4m"
         video.write_bytes(video.read_bytes()[:-10])
-        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--force", "segment"])
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs,
+                                           "--force", "segment"])
         assert result.exit_code == TruncationError.exit_code
         assert type(result.exception) is SystemExit
         assert result.output.count("error:") == 1 and "Traceback" not in result.output
         assert f"error: {video}: frame " in result.output and "payload truncated" in result.output
         assert not (tmp_path / "cache" / "segment" / "manifest.json").exists()
+
+    def test_header_only_keyframe_manifest_exits_naming_it(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "segment")
+        kf_manifest = tmp_path / "cache" / "segment" / "keyframe_manifest.csv"
+        kf_manifest.write_text(kf_manifest.read_text().splitlines()[0] + "\n")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--force", "extract"])
+        assert result.exit_code == EmptyInputError.exit_code == 9
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1
+        assert f"error: {kf_manifest} lists no keyframes" in result.output
+        assert not (tmp_path / "cache" / "extract" / "manifest.json").exists()
+
+    def test_diverging_fold_under_jobs_exits_with_divergence_code(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", "2", "evaluate",
+                                           "--features", "genre", "--lr", "1e6", "--alpha", "1"])
+        assert result.exit_code == DivergenceError.exit_code == 19
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "Traceback" not in result.output
+        assert "error: similarity matrix diverged at epoch" in result.output
+        stage_dir = tmp_path / "cache" / "evaluate"
+        assert not (stage_dir / "report_genre.csv").exists()
+        assert not (stage_dir / "manifest_genre.json").exists()
 
     @pytest.mark.parametrize("text", ['{"key": ', "[]"], ids=["truncated", "not-an-object"])
     def test_unreadable_manifest_exits_with_stale_code(self, mini, tmp_path, text):
@@ -820,10 +866,21 @@ class TestRecommendCli:
 
     def test_retrained_model_is_served_without_force(self, trained):
         invoke(trained, *self.ARGS, "-n", "3")
-        invoke(trained, "--force", "train", "--features", "genre", "--alpha", "0.7")
+        # recommend checks the model against the config, so the new alpha goes there
+        trained.write_text(json.dumps({**json.loads(trained.read_text()), "alpha": 0.7}))
+        invoke(trained, "--force", "train", "--features", "genre")
         model = load_model(trained.parent / "cache" / "train" / "model_genre.bin")
         assert model.config.alpha == 0.7
         assert invoke(trained, *self.ARGS, "-n", "3").output == self.expected(trained, 3)
+
+    def test_model_trained_under_other_parameters_exits_stale(self, trained):
+        trained.write_text(json.dumps({**json.loads(trained.read_text()), "alpha": 0.1}))
+        result = CliRunner().invoke(main, ["--config", str(trained), *self.ARGS])
+        assert result.exit_code == StaleCacheError.exit_code == 5
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "rank,movie_id" not in result.output
+        assert ("error: stage 'train' has cached artifacts built from different inputs or "
+                "parameters; re-run with --force to rebuild") in result.output
 
     def test_longer_list_after_shorter(self, trained):
         # user 2 rated 4 of the corpus's 8 movies, so -n 5 lists all 4 others
@@ -839,10 +896,10 @@ class TestRecommendCli:
         (True, ["-n", "0"], ParameterError),
     ], ids=["no-train", "unknown-user", "zero-n"])
     def test_errors_exit_with_their_codes(self, mini, tmp_path, train, args, error):
-        cfg_path = cli_config(mini, tmp_path)
+        cfg_path = one_epoch_config(mini, tmp_path)
         invoke(cfg_path, "textfeat")
         if train:
-            invoke(cfg_path, "train", "--features", "genre", "--epochs", "1")
+            invoke(cfg_path, "train", "--features", "genre")
         result = CliRunner().invoke(main, ["--config", str(cfg_path), *self.ARGS, *args])
         assert result.exit_code == error.exit_code
         assert type(result.exception) is SystemExit
@@ -891,9 +948,9 @@ class TestColdPath:
         assert fresh_cli_lines(script=_COUNT_TABLES) == ["[0, 0, 0]"]
 
     def test_recommend_run_loads_no_scipy(self, mini, tmp_path):
-        cfg_path = cli_config(mini, tmp_path)
+        cfg_path = one_epoch_config(mini, tmp_path)
         invoke(cfg_path, "textfeat")
-        invoke(cfg_path, "train", "--features", "genre", "--epochs", "1")
+        invoke(cfg_path, "train", "--features", "genre")
         lines = fresh_cli_lines("--config", str(cfg_path), "recommend",
                                 "--features", "genre", "--user", "1", "-n", "3")
         assert lines[0] == "rank,movie_id" and len(lines) == 5

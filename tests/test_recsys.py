@@ -17,6 +17,7 @@ from visrec.errors import (
 from visrec.featureio import FeatureRecord, FeatureVector, read_feature_file, write_feature_bin
 from visrec.recsys import (
     FeatureMatrix,
+    FeatureSpectrum,
     InteractionMatrix,
     SimilarityModel,
     TrainConfig,
@@ -24,6 +25,7 @@ from visrec.recsys import (
     recommend,
     sample_negative,
     save_model,
+    feature_spectrum,
     score,
     standardize_columns,
     train_collective_slim,
@@ -351,6 +353,38 @@ class TestTrainCollectiveSlim:
         np.testing.assert_array_equal(models[0].matrix, models[1].matrix)
         assert models[0].loss_history == models[1].loss_history
 
+    @pytest.mark.parametrize("d", [4, 30])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_prebuilt_spectrum_trains_the_same_model(self, alpha, d):
+        # d = 30 > 12 items makes the thin factor narrower than the features;
+        # two trainings on different entries share one spectrum, as folds do
+        R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
+        F = flat_features(R, d=d, seed=3)
+        cfg = TrainConfig(alpha=alpha, epochs=3, seed=4)
+        spectrum = feature_spectrum(F)
+        for R_train in (R.restrict(np.arange(0, R.n_entries, 2)), R):
+            shared = train_collective_slim(R_train, F, cfg, spectrum)
+            alone = train_collective_slim(R_train, F, cfg)
+            np.testing.assert_array_equal(shared.matrix, alone.matrix)
+            assert shared.loss_history == alone.loss_history
+            assert (shared.config, shared.item_ids) == (alone.config, alone.item_ids)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_spectrum_of_other_features_refused(self, alpha):
+        R, _, _ = two_block_dataset(n_users=30, n_items=12, rated_per_user=3, seed=2)
+        F = flat_features(R, d=4, seed=3)
+        other_items = FeatureMatrix(family="FUSED", item_ids=tuple(range(12)), values=F.values)
+        spectra = [
+            feature_spectrum(other_items),
+            feature_spectrum(flat_features(R, d=4, seed=5)),  # other values
+            feature_spectrum(FeatureMatrix(family="FUSED", item_ids=R.item_ids,
+                                           values=F.values[:, :3])),
+            FeatureSpectrum(np.zeros((12, 0)), np.zeros(0)),  # from no features at all
+        ]
+        for spectrum in spectra:
+            with pytest.raises(AlignmentError, match="spectrum was built from other features"):
+                train_collective_slim(R, F, TrainConfig(alpha=alpha, epochs=1), spectrum)
+
     def test_misaligned_features_rejected(self):
         R = tiny_R()
         F = FeatureMatrix(family="FUSED", item_ids=(10, 20, 30, 99),
@@ -407,7 +441,7 @@ class TestLazyFeatureSteps:
         z0, p0 = rng.standard_normal(G.shape), rng.standard_normal(G.shape)
         for steps in (0, 1, 2, 37, 5000):
             with np.errstate(all="ignore"):
-                state = _LazyRows(G, d, decay, gain)
+                state = _LazyRows(FeatureSpectrum(G, d), decay, gain)
                 state.Z[:], state.P[:] = z0, p0
                 state.advance(np.arange(n), np.full(n, steps))
             z, p, sse = step_rows(G, d, z0, p0, steps, decay, gain)
@@ -421,16 +455,16 @@ class TestLazyFeatureSteps:
         d = np.array(sigma2)
         G = thin_factor(n, d, seed=4)
         with np.errstate(all="ignore"):
-            state = _LazyRows(G, d, 0.5, 0.1)
-            inv = state.cauchy(np.arange(n))
-        sizes = np.bincount(state.cluster)
+            spectrum = FeatureSpectrum(G, d)
+            inv = spectrum.cauchy(np.arange(n))
+        sizes = np.bincount(spectrum.cluster)
         for r in range(n):
             K = np.diag(d) - np.outer(G[r], G[r])
-            roots = state.inv_norm[r] > 0
-            V = (state.uh[r][:, None] * inv[r] * state.inv_norm[r])[:, roots]
-            lam = state.lam[r, roots]
+            roots = spectrum.inv_norm[r] > 0
+            V = (spectrum.uh[r][:, None] * inv[r] * spectrum.inv_norm[r])[:, roots]
+            lam = spectrum.lam[r, roots]
             # merged and deflated poles keep the rest of the spectrum
-            rest = np.repeat(state.poles, sizes - state.active[r])
+            rest = np.repeat(spectrum.poles, sizes - spectrum.active[r])
             np.testing.assert_allclose(np.sort(np.concatenate([lam, rest])),
                                        np.linalg.eigvalsh(K), rtol=0, atol=1e-12 * d.max())
             np.testing.assert_allclose(V.T @ V, np.eye(len(lam)), rtol=0, atol=1e-12)
