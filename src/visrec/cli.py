@@ -11,7 +11,6 @@ from pathlib import Path
 
 import click
 
-from .aggregate import AggregationKind
 from .errors import ToolkitError
 from .pipeline import FAMILIES, PipelineConfig, recommend_items, run_stage, stages_for
 
@@ -38,14 +37,10 @@ def _config(ctx) -> PipelineConfig:
     return cfg
 
 
-def _run(ctx, stages, family="mpeg7", overrides=None):
+def _run(ctx, stages, family="mpeg7"):
     """Run ``stages`` in order for ``family``, or for every configured family
-    when ``family`` is None. ``overrides`` maps config fields to new values;
-    a None value keeps the config's."""
+    when ``family`` is None."""
     cfg = _config(ctx)
-    for name, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, name, value)
     for fam in [family] if family else cfg.families:
         for stage in stages:
             outputs = run_stage(stage, cfg, family=fam, force=ctx.obj["force"],
@@ -61,7 +56,7 @@ def _run(ctx, stages, family="mpeg7", overrides=None):
 @click.option("--config", type=click.Path(exists=True, path_type=Path), default=None,
               help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for segment, extract and evaluate.")
 @click.option("--force", is_flag=True, help="Rebuild even if cached artifacts exist.")
 @click.pass_context
@@ -85,52 +80,29 @@ segment = _stage_command("segment", "Detect shots and dump one keyframe per shot
 extract = _stage_command(
     "extract", "Compute the 774-element MPEG-7 descriptor vector for every keyframe."
 )
+aggregate = _stage_command("aggregate", "Collapse keyframe vectors into movie-level vectors.")
 fuse = _stage_command("fuse", "Fit CCA on the two visual families and emit fused vectors.")
 textfeat = _stage_command("textfeat", "Build the genre and tag-LSA baseline features.")
-
-
-_AGG_CHOICES = click.Choice([kind.value for kind in AggregationKind])
-
-
-@main.command()
-@click.option("--agg-mpeg7", type=_AGG_CHOICES, default=None,
-              help="Aggregation for the MPEG-7 family (default from config).")
-@click.option("--agg-dnn", type=_AGG_CHOICES, default=None,
-              help="Aggregation for the DNN family (default from config).")
-@click.pass_context
-def aggregate(ctx, agg_mpeg7, agg_dnn):
-    """Collapse keyframe vectors into movie-level vectors."""
-    _run(ctx, ["aggregate"], overrides={"agg_mpeg7": agg_mpeg7, "agg_dnn": agg_dnn})
 
 
 _FAMILY_CHOICE = click.Choice(sorted(FAMILIES))
 
 
-def _hyper_options(fn):
-    fn = click.option("--alpha", type=float, default=None)(fn)
-    fn = click.option("--gamma", type=float, default=None)(fn)
-    fn = click.option("--lr", "learning_rate", type=float, default=None)(fn)
-    fn = click.option("--epochs", type=int, default=None)(fn)
-    return fn
-
-
 @main.command()
 @click.option("--features", type=_FAMILY_CHOICE, default="mpeg7", show_default=True)
-@_hyper_options
 @click.pass_context
-def train(ctx, features, **hypers):
+def train(ctx, features):
     """Train a similarity model on the full rating set."""
-    _run(ctx, ["train"], features, hypers)
+    _run(ctx, ["train"], features)
 
 
 @main.command()
 @click.option("--features", type=_FAMILY_CHOICE, default=None,
               help="Single family; default: every family from the config.")
-@_hyper_options
 @click.pass_context
-def evaluate(ctx, features, **hypers):
+def evaluate(ctx, features):
     """Run the 5-fold top-N evaluation protocol."""
-    _run(ctx, ["evaluate"], features, hypers)
+    _run(ctx, ["evaluate"], features)
 
 
 @main.command()

@@ -68,8 +68,7 @@ def cli_config(mini, tmp_path):
 
 
 def one_epoch_config(mini, tmp_path):
-    """``cli_config`` training one epoch: set in the file, not by ``--epochs``,
-    since ``recommend`` serves only the model the config's ``train`` builds."""
+    """``cli_config`` training one epoch."""
     cfg_path = cli_config(mini, tmp_path)
     cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "epochs": 1}))
     return cfg_path
@@ -737,9 +736,11 @@ class TestCli:
 
     def test_diverging_fold_under_jobs_exits_with_divergence_code(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "learning_rate": 1e6, "alpha": 1}))
         invoke(cfg_path, "textfeat")
         result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", "2", "evaluate",
-                                           "--features", "genre", "--lr", "1e6", "--alpha", "1"])
+                                           "--features", "genre"])
         assert result.exit_code == DivergenceError.exit_code == 19
         assert type(result.exception) is SystemExit
         assert result.output.count("error:") == 1 and "Traceback" not in result.output
@@ -763,23 +764,56 @@ class TestCli:
 
     def test_aggregate_override(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                        "agg_mpeg7": "average"}))
         invoke(cfg_path, "segment")
         invoke(cfg_path, "extract")
-        invoke(cfg_path, "aggregate", "--agg-mpeg7", "average")
+        invoke(cfg_path, "aggregate")
         manifest = json.loads((tmp_path / "cache" / "aggregate" / "manifest.json").read_text())
         assert manifest["params"]["agg_mpeg7"] == "average"
         assert sorted(manifest["inputs"]) == ["embeddings", "extract", "segment"]
 
     def test_train_hyper_flags(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                        "epochs": 1, "alpha": 0.6}))
         invoke(cfg_path, "textfeat")
-        invoke(cfg_path, "train", "--features", "genre", "--epochs", "1", "--alpha", "0.6")
+        invoke(cfg_path, "train", "--features", "genre")
         manifest = json.loads(
             (tmp_path / "cache" / "train" / "manifest_genre.json").read_text()
         )
         assert manifest["params"]["epochs"] == 1
         assert manifest["params"]["alpha"] == 0.6
         assert (tmp_path / "cache" / "train" / "model_genre.bin").exists()
+
+    @pytest.mark.parametrize("args, needs", [
+        (["train", "--features", "genre", "--epochs", "1"], ["textfeat"]),
+        (["train", "--features", "genre", "--alpha", "0.6"], ["textfeat"]),
+        (["train", "--features", "genre", "--gamma", "0"], ["textfeat"]),
+        (["train", "--features", "genre", "--lr", "0.1"], ["textfeat"]),
+        (["evaluate", "--features", "genre", "--epochs", "1"], ["textfeat"]),
+        (["aggregate", "--agg-mpeg7", "average"], ["segment", "extract"]),
+        (["aggregate", "--agg-dnn", "median"], ["segment", "extract"]),
+    ], ids=["train-epochs", "train-alpha", "train-gamma", "train-lr", "evaluate-epochs",
+            "aggregate-agg-mpeg7", "aggregate-agg-dnn"])
+    def test_stage_parameters_come_only_from_the_config(self, mini, tmp_path, args, needs):
+        cfg_path = cli_config(mini, tmp_path)
+        for stage in needs:
+            invoke(cfg_path, stage)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), *args])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and args[-2] in result.output
+        assert not list((tmp_path / "cache" / args[0]).glob("manifest*.json"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_with_usage_code(self, mini, tmp_path, jobs):
+        cfg_path = cli_config(mini, tmp_path)
+        invoke(cfg_path, "textfeat")
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs,
+                                           "evaluate", "--features", "genre"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+        assert not (tmp_path / "cache" / "evaluate").exists()
 
     @pytest.mark.parametrize("families, dropped, stages", [
         (["genre", "tag-lsa"], ["videos_dir", "embeddings"], ["textfeat"]),
@@ -814,10 +848,10 @@ class TestCli:
             assert copy.read_bytes() == (cache / name).read_bytes(), name
 
     def test_evaluate_every_configured_family(self, mini, tmp_path):
-        cfg_path = cli_config(mini, tmp_path)
+        cfg_path = one_epoch_config(mini, tmp_path)
         for stage in ("segment", "extract", "aggregate", "fuse", "textfeat"):
             invoke(cfg_path, stage)
-        invoke(cfg_path, "evaluate", "--epochs", "1")
+        invoke(cfg_path, "evaluate")
         reports = sorted(p.name for p in (tmp_path / "cache" / "evaluate").glob("report_*.csv"))
         families = load_cfg(mini).families
         assert reports == sorted(f"report_{family}.csv" for family in families)
