@@ -14,7 +14,8 @@ digests, parameters, seed and output digests. A mismatch is an error unless
 forced, so cached features are never silently rebuilt or reused across
 input changes, and a build that stops midway leaves no manifest.
 Segment's videos, extract's keyframes and evaluate's folds are independent
-tasks, which ``_map`` runs in worker processes under ``--jobs``.
+tasks, which ``_map`` runs in worker processes under ``--jobs``; segment's
+videos and a stage's outputs are digested on up to ``--jobs`` threads.
 ``recommend_items`` is a query, not a stage; it serves a model only while
 train's manifest holds the key ``run_stage`` would compute now.
 """
@@ -60,6 +61,7 @@ from .fusion import fit_cca, fuse_matrix
 from .media import FrameBuffer, parse_y4m
 from .recsys import (
     FeatureMatrix,
+    FeatureSpectrum,
     TrainConfig,
     feature_spectrum,
     load_model,
@@ -169,11 +171,29 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _digest_file(path: Path) -> str:
+    """The file's SHA-256, read unbuffered into one reused 64 KiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            h.update(view[:size])
     return h.hexdigest()
+
+
+def _digest_files(paths, jobs: int) -> list[str]:
+    """``[_digest_file(path) for path in paths]``, in input order: on up to
+    ``jobs`` threads when ``jobs > 1`` and there is more than one path, else
+    in this thread. Reading and hashing release the GIL, and threads start
+    in microseconds where a process pool takes milliseconds. A path's error
+    is raised here, as the serial loop would raise it."""
+    paths = list(paths)
+    if jobs <= 1 or len(paths) <= 1:
+        return [_digest_file(path) for path in paths]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
+        return list(pool.map(_digest_file, paths))
 
 
 def _cache_key(inputs: dict, params: dict, seed: int) -> str:
@@ -263,6 +283,8 @@ def _videos(cfg: PipelineConfig) -> list[tuple[int, Path]]:
         raise ConfigError(f"no .y4m files under {cfg.videos_dir}")
     by_id: dict[int, Path] = {}
     for video in videos:
+        if not video.is_file():
+            raise ConfigError(f"video entry is not a regular file: {video}")
         try:
             movie_id = parse_int64(video.stem)
         except ValueError:
@@ -281,7 +303,8 @@ _KEYFRAME_PATH = "keyframes/{movie_id}/{kf}.bin"
 
 def _segment_key(cfg: PipelineConfig, args: StageArgs):
     cfg.require("videos_dir")
-    videos = {video.name: _digest_file(video) for _, video in _videos(cfg)}
+    paths = [video for _, video in _videos(cfg)]
+    videos = {video.name: digest for video, digest in zip(paths, _digest_files(paths, args.jobs))}
     return {"videos": videos}, {"threshold": cfg.threshold, "keyframes": _KEYFRAME_PATH}, None
 
 
@@ -487,6 +510,28 @@ def _naming_features(cfg: PipelineConfig, family: str):
         raise _in_file(exc, _family_feature_path(cfg, family)) from None
 
 
+_last_spectrum: FeatureSpectrum | None = None  # the one feature_spectrum built last here
+
+
+def _spectrum(cfg: PipelineConfig, family: str, F: FeatureMatrix) -> FeatureSpectrum | None:
+    """F's feature spectrum, or None when ``alpha = 1`` trains without one.
+    The spectrum built last in this process serves again while it was built
+    from the same item ids and values (so ``train`` reuses the one
+    ``evaluate`` built); on a miss it is dropped before the new one is built,
+    so at most one is held."""
+    global _last_spectrum
+    if cfg.alpha >= 1.0:
+        return None
+    last = _last_spectrum
+    if (last is not None and last.source.item_ids == F.item_ids
+            and np.array_equal(last.source.values, F.values)):
+        return last
+    _last_spectrum = last = None
+    with _naming_features(cfg, family):
+        _last_spectrum = feature_spectrum(F)
+    return _last_spectrum
+
+
 def _train(cfg: PipelineConfig, family: str, R, F, spectrum=None):
     """``train_collective_slim`` under the config's hyper-parameters."""
     with _naming_features(cfg, family):
@@ -503,7 +548,7 @@ def _train_key(cfg: PipelineConfig, args: StageArgs):
 
 def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     R, F = load_family_matrix(cfg, args.family)
-    model = _train(cfg, args.family, R, F)
+    model = _train(cfg, args.family, R, F, _spectrum(cfg, args.family, F))
     path = stage_dir / f"model_{args.family}.bin"
     save_model(path, model, feature_dim=F.d)
     return [path]
@@ -531,14 +576,13 @@ def _evaluate_fold(cfg: PipelineConfig, family: str, R, F, spectrum, split):
 
 def run_evaluation(cfg: PipelineConfig, family: str, jobs: int = 1) -> EvalReport:
     """The folds' report. The feature spectrum, which every fold's training
-    shares, is built once, here; the folds run as ``_map`` tasks and are
-    added in fold order."""
+    shares, is taken once, here, from ``_spectrum``; the folds run as
+    ``_map`` tasks and are added in fold order."""
     import scipy.special  # noqa: F401  (training's; imported once, before workers fork)
 
     R, F = load_family_matrix(cfg, family)
     splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
-    with _naming_features(cfg, family):
-        spectrum = feature_spectrum(F) if cfg.alpha < 1.0 else None
+    spectrum = _spectrum(cfg, family, F)
     report = EvalReport(cutoffs=cfg.cutoffs)
     for metrics, skipped in _map(jobs, partial(_evaluate_fold, cfg, family, R, F, spectrum),
                                  splits):
@@ -672,7 +716,8 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
         "inputs": inputs,
         "params": params,
         "seed": cfg.seed,
-        "outputs": {str(p.relative_to(stage_dir)): _digest_file(p) for p in outputs},
+        "outputs": {str(p.relative_to(stage_dir)): digest
+                    for p, digest in zip(outputs, _digest_files(outputs, jobs))},
     }
     manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return outputs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -138,6 +139,73 @@ class TestStageOrdering:
                 run_stage("segment", cfg)
             assert all(str(videos / named) in str(err.value) for named in names), name
             assert not (cfg.cache_dir / "segment").exists()
+
+
+class TestDigests:
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200_001])
+    def test_digest_file_is_the_sha256_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "data.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert pipeline._digest_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_digest_file_pinned_value(self, tmp_path):
+        path = tmp_path / "abc"
+        path.write_bytes(b"abc")
+        assert pipeline._digest_file(path) == (
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_digest_files_in_input_order(self, tmp_path, jobs):
+        rng = np.random.default_rng(5)
+        paths = []
+        for i, size in enumerate([150_000, 3, 0, 65_536, 70_001]):
+            paths.append(tmp_path / f"{i}.bin")
+            paths[-1].write_bytes(rng.bytes(size))
+        expected = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+        assert pipeline._digest_files(paths, jobs) == expected
+
+    def test_missing_path_raises_the_same_error_at_any_jobs(self, tmp_path):
+        present = tmp_path / "present.bin"
+        present.write_bytes(b"x" * 100_000)
+        paths = [present, tmp_path / "missing-1.bin", present, tmp_path / "missing-2.bin"]
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(FileNotFoundError) as err:
+                pipeline._digest_files(paths, jobs)
+            raised.append((type(err.value), err.value.errno, err.value.filename))
+        assert raised[0] == raised[1]
+        assert raised[0][2] == str(tmp_path / "missing-1.bin")
+
+
+class TestSharedSpectrum:
+    def test_train_reuses_the_spectrum_evaluate_built(self, mini, tmp_path, monkeypatch):
+        cfg = load_cfg(one_epoch_config(mini, tmp_path))
+        held = []  # the memo's spectrum at each build: always dropped first
+
+        def counted(F):
+            held.append(pipeline._last_spectrum)
+            return recsys.feature_spectrum(F)
+
+        monkeypatch.setattr(pipeline, "feature_spectrum", counted)
+        monkeypatch.setattr(pipeline, "_last_spectrum", None)
+        model = cfg.cache_dir / "train" / "model_tag-lsa.bin"
+        run_stage("textfeat", cfg)
+        run_stage("evaluate", cfg, family="tag-lsa")
+        run_stage("train", cfg, family="tag-lsa")
+        assert len(held) == 1
+        shared = model.read_bytes()
+
+        monkeypatch.setattr(pipeline, "_last_spectrum", None)  # as in a fresh process
+        run_stage("train", cfg, family="tag-lsa", force=True)
+        assert len(held) == 2
+        assert model.read_bytes() == shared
+
+        cfg.lsa_rank = 4  # other tag-LSA features: the memo misses
+        run_stage("textfeat", cfg, force=True)
+        run_stage("train", cfg, family="tag-lsa", force=True)
+        assert len(held) == 3
+        assert held == [None] * 3
+        assert pipeline._last_spectrum.source.values.shape[1] == 4
 
 
 class TestCacheSemantics:
@@ -721,6 +789,26 @@ class TestCli:
         assert result.output.count("error:") == 1 and "Traceback" not in result.output
         assert f"error: {video}: frame " in result.output and "payload truncated" in result.output
         assert not (tmp_path / "cache" / "segment" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_video_entry_that_is_no_file_exits_with_config_code(self, mini, tmp_path, jobs):
+        cfg_path = cli_config(mini, tmp_path)
+        videos = shutil.copytree(mini.parent / "videos", tmp_path / "videos")
+        (videos / "99.y4m").mkdir()
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "videos_dir": str(videos)}))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs, "segment"])
+        assert result.exit_code == ConfigError.exit_code == 2
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "Traceback" not in result.output
+        assert f"error: video entry is not a regular file: {videos / '99.y4m'}" in result.output
+        assert not (tmp_path / "cache" / "segment").exists()
+
+    def test_cache_built_under_one_job_is_up_to_date_under_two(self, mini, tmp_path):
+        cfg_path = one_epoch_config(mini, tmp_path)
+        invoke(cfg_path, "--jobs", "1", "run-all")
+        lines = invoke(cfg_path, "--jobs", "2", "run-all").output.splitlines()
+        assert lines and all(line.endswith(": up to date") for line in lines), lines
 
     def test_header_only_keyframe_manifest_exits_naming_it(self, mini, tmp_path):
         cfg_path = cli_config(mini, tmp_path)
