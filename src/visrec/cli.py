@@ -58,7 +58,7 @@ def _run(ctx, stages, family="mpeg7"):
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for segment, extract and evaluate; threads "
-                   "for digests.")
+                   "for segment's video digests.")
 @click.option("--force", is_flag=True, help="Rebuild even if cached artifacts exist.")
 @click.pass_context
 def main(ctx, config, seed, jobs, force):

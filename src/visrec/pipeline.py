@@ -15,7 +15,7 @@ forced, so cached features are never silently rebuilt or reused across
 input changes, and a build that stops midway leaves no manifest.
 Segment's videos, extract's keyframes and evaluate's folds are independent
 tasks, which ``_map`` runs in worker processes under ``--jobs``; segment's
-videos and a stage's outputs are digested on up to ``--jobs`` threads.
+videos are digested on up to ``--jobs`` threads.
 ``recommend_items`` is a query, not a stage; it serves a model only while
 train's manifest holds the key ``run_stage`` would compute now.
 """
@@ -61,7 +61,6 @@ from .fusion import fit_cca, fuse_matrix
 from .media import FrameBuffer, parse_y4m
 from .recsys import (
     FeatureMatrix,
-    FeatureSpectrum,
     TrainConfig,
     feature_spectrum,
     load_model,
@@ -510,28 +509,6 @@ def _naming_features(cfg: PipelineConfig, family: str):
         raise _in_file(exc, _family_feature_path(cfg, family)) from None
 
 
-_last_spectrum: FeatureSpectrum | None = None  # the one feature_spectrum built last here
-
-
-def _spectrum(cfg: PipelineConfig, family: str, F: FeatureMatrix) -> FeatureSpectrum | None:
-    """F's feature spectrum, or None when ``alpha = 1`` trains without one.
-    The spectrum built last in this process serves again while it was built
-    from the same item ids and values (so ``train`` reuses the one
-    ``evaluate`` built); on a miss it is dropped before the new one is built,
-    so at most one is held."""
-    global _last_spectrum
-    if cfg.alpha >= 1.0:
-        return None
-    last = _last_spectrum
-    if (last is not None and last.source.item_ids == F.item_ids
-            and np.array_equal(last.source.values, F.values)):
-        return last
-    _last_spectrum = last = None
-    with _naming_features(cfg, family):
-        _last_spectrum = feature_spectrum(F)
-    return _last_spectrum
-
-
 def _train(cfg: PipelineConfig, family: str, R, F, spectrum=None):
     """``train_collective_slim`` under the config's hyper-parameters."""
     with _naming_features(cfg, family):
@@ -548,7 +525,7 @@ def _train_key(cfg: PipelineConfig, args: StageArgs):
 
 def _train_build(cfg: PipelineConfig, args: StageArgs, stage_dir: Path) -> list[Path]:
     R, F = load_family_matrix(cfg, args.family)
-    model = _train(cfg, args.family, R, F, _spectrum(cfg, args.family, F))
+    model = _train(cfg, args.family, R, F)
     path = stage_dir / f"model_{args.family}.bin"
     save_model(path, model, feature_dim=F.d)
     return [path]
@@ -576,13 +553,14 @@ def _evaluate_fold(cfg: PipelineConfig, family: str, R, F, spectrum, split):
 
 def run_evaluation(cfg: PipelineConfig, family: str, jobs: int = 1) -> EvalReport:
     """The folds' report. The feature spectrum, which every fold's training
-    shares, is taken once, here, from ``_spectrum``; the folds run as
-    ``_map`` tasks and are added in fold order."""
+    shares, is built once, here; the folds run as ``_map`` tasks and are
+    added in fold order."""
     import scipy.special  # noqa: F401  (training's; imported once, before workers fork)
 
     R, F = load_family_matrix(cfg, family)
     splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
-    spectrum = _spectrum(cfg, family, F)
+    with _naming_features(cfg, family):
+        spectrum = feature_spectrum(F) if cfg.alpha < 1.0 else None
     report = EvalReport(cutoffs=cfg.cutoffs)
     for metrics, skipped in _map(jobs, partial(_evaluate_fold, cfg, family, R, F, spectrum),
                                  splits):
@@ -716,8 +694,7 @@ def run_stage(stage: str, cfg: PipelineConfig, family: str = "mpeg7",
         "inputs": inputs,
         "params": params,
         "seed": cfg.seed,
-        "outputs": {str(p.relative_to(stage_dir)): digest
-                    for p, digest in zip(outputs, _digest_files(outputs, jobs))},
+        "outputs": {str(p.relative_to(stage_dir)): _digest_file(p) for p in outputs},
     }
     manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return outputs

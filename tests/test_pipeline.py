@@ -177,37 +177,6 @@ class TestDigests:
         assert raised[0][2] == str(tmp_path / "missing-1.bin")
 
 
-class TestSharedSpectrum:
-    def test_train_reuses_the_spectrum_evaluate_built(self, mini, tmp_path, monkeypatch):
-        cfg = load_cfg(one_epoch_config(mini, tmp_path))
-        held = []  # the memo's spectrum at each build: always dropped first
-
-        def counted(F):
-            held.append(pipeline._last_spectrum)
-            return recsys.feature_spectrum(F)
-
-        monkeypatch.setattr(pipeline, "feature_spectrum", counted)
-        monkeypatch.setattr(pipeline, "_last_spectrum", None)
-        model = cfg.cache_dir / "train" / "model_tag-lsa.bin"
-        run_stage("textfeat", cfg)
-        run_stage("evaluate", cfg, family="tag-lsa")
-        run_stage("train", cfg, family="tag-lsa")
-        assert len(held) == 1
-        shared = model.read_bytes()
-
-        monkeypatch.setattr(pipeline, "_last_spectrum", None)  # as in a fresh process
-        run_stage("train", cfg, family="tag-lsa", force=True)
-        assert len(held) == 2
-        assert model.read_bytes() == shared
-
-        cfg.lsa_rank = 4  # other tag-LSA features: the memo misses
-        run_stage("textfeat", cfg, force=True)
-        run_stage("train", cfg, family="tag-lsa", force=True)
-        assert len(held) == 3
-        assert held == [None] * 3
-        assert pipeline._last_spectrum.source.values.shape[1] == 4
-
-
 class TestCacheSemantics:
     def test_segment_idempotent(self, mini):
         cfg = load_cfg(mini)
