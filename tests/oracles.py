@@ -16,13 +16,15 @@ The primal CCA reference ``cca_primal_oracle`` is the covariance-space
 builds both d x d inverse square roots and the d1 x d2 whitened
 cross-covariance, and takes the package's ``CcaModel`` and default ridge
 factor.
-The three kernel references keep the implementations that the trailer
+The four kernel references keep the implementations that the trailer
 kernels replaced, verbatim: ``csd_presence_oracle`` fills the window x color
 presence matrix, ``htd_complex_oracle`` filters the complex ``fft2`` with
 the unsymmetrised full-plane Gabor bank and keeps the real part of each
-``ifft2``, and ``ycbcr_planes_to_rgb_oracle`` runs the float BT.601 inverse
-on every pixel. They share the package's HSV quantizer, CSD subsample
-factor, luma and HTD constants.
+``ifft2``, ``ycbcr_planes_to_rgb_oracle`` runs the float BT.601 inverse
+on every pixel, and ``write_y4m_oracle`` averages chroma with numpy's
+``mean`` over reshaped blocks and appends each frame's bytes to a growing
+buffer. They share the package's HSV quantizer, CSD subsample factor, luma,
+forward BT.601 transform and HTD constants.
 """
 
 import math
@@ -46,7 +48,7 @@ from visrec.errors import (
     SingularityError,
 )
 from visrec.fusion import DEFAULT_RIDGE_FACTOR, CcaModel
-from visrec.media import _KB, _KG, _KR, luma, rgb_image_to_hsv
+from visrec.media import _KB, _KG, _KR, luma, rgb_image_to_hsv, rgb_to_ycbcr_planes
 from visrec.recsys import (
     FeatureMatrix,
     InteractionMatrix,
@@ -251,6 +253,28 @@ def ycbcr_planes_to_rgb_oracle(y, cb, cr) -> np.ndarray:
     g = (y - _KR * r - _KB * b) / _KG
     rgb = np.stack([r, g, b], axis=-1)
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+def write_y4m_oracle(frames, fps: str, chroma: str) -> bytes:
+    """Y4M bytes of 8-bit RGB frames, their chroma averaged by ``mean`` over
+    reshaped 2x2 (4:2:0) or 1x2 (4:2:2) blocks; ``fps`` is the header's
+    ``num:den``."""
+    h, w = frames[0].shape[:2]
+    tag = {"420": "420jpeg", "422": "422", "444": "444"}[chroma]
+    out = bytearray()
+    out += f"YUV4MPEG2 W{w} H{h} F{fps} Ip A1:1 C{tag}\n".encode()
+    for pixels in frames:
+        y, cb, cr = rgb_to_ycbcr_planes(pixels)
+        if chroma == "420":
+            cb = cb.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+            cr = cr.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+        elif chroma == "422":
+            cb = cb.reshape(h, w // 2, 2).mean(axis=2)
+            cr = cr.reshape(h, w // 2, 2).mean(axis=2)
+        out += b"FRAME\n"
+        for plane in (y, cb, cr):
+            out += np.clip(np.rint(plane), 0, 255).astype(np.uint8).tobytes()
+    return bytes(out)
 
 
 # --- CCA: multiresolution angular grid sweep with hand-rolled deflation ----

@@ -20,7 +20,7 @@ from visrec.featureio import (
     write_arrays,
     write_feature_bin,
 )
-from visrec.media import FrameStream, parse_y4m, write_y4m
+from visrec.media import FrameStream, iter_y4m, parse_y4m, write_y4m
 from visrec.pipeline import _read_keyframe
 from visrec.recsys import load_ratings_csv
 from visrec.textfeat import load_movies_csv, load_tags_csv
@@ -66,6 +66,12 @@ def _on_file(parse):
     return run
 
 
+def _walk_y4m(path):
+    """Every frame of a memory-mapped Y4M file, each decoded again by index."""
+    with iter_y4m(path) as frames:
+        return [frames.decode(i) for i, _ in enumerate(frames)]
+
+
 def _written(write) -> bytes:
     """The bytes ``write(path)`` puts in a file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,6 +91,7 @@ _FEATURES_BIN = _written(lambda path: write_feature_bin(path, [
 # name -> (valid input, run(data, tmp_path))
 PARSERS = {
     "parse_y4m": (_Y4M, lambda data, _: parse_y4m(data)),
+    "iter_y4m": (_Y4M, _on_file(_walk_y4m)),
     "read_keyframe": (_KEYFRAME, _on_file(_read_keyframe)),
     "read_feature_file": (_FEATURES_BIN, _on_file(read_feature_file)),
     "read_feature_csv": (_FEATURES, _on_file(read_feature_csv)),

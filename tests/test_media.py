@@ -1,20 +1,28 @@
+import math
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from visrec import media, pipeline, shots
 from visrec.errors import EmptyInputError, FormatError, TruncationError
 from visrec.media import (
     FrameBuffer,
     FrameStream,
     hsv_to_rgb,
+    iter_y4m,
     parse_y4m,
     rgb_image_to_hsv,
     rgb_to_ycbcr_planes,
     write_y4m,
     ycbcr_planes_to_rgb,
 )
+from visrec.minidata import generate
+from visrec.shots import detect_shots
 
 from conftest import solid_frame
-from oracles import ycbcr_planes_to_rgb_oracle
+from oracles import write_y4m_oracle, ycbcr_planes_to_rgb_oracle
 
 
 def y4m_bytes(header: str, frames: list[bytes]) -> bytes:
@@ -86,6 +94,190 @@ class TestParseY4m:
         back = parse_y4m(write_y4m(stream, chroma="444"))
         for orig, rt in zip(frames, back.frames):
             assert np.abs(orig.pixels.astype(int) - rt.pixels.astype(int)).max() <= 1
+
+
+def y4m_stream(header: bytes, payloads: list[bytes], markers=(b"FRAME",)) -> tuple[bytes, list[int]]:
+    """A Y4M stream and each frame's payload offset; frame i's FRAME line is
+    ``markers[i % len(markers)]``."""
+    out = bytearray(header + b"\n")
+    offsets = []
+    for i, payload in enumerate(payloads):
+        out += markers[i % len(markers)] + b"\n"
+        offsets.append(len(out))
+        out += payload
+    return bytes(out), offsets
+
+
+def shot_payloads(rng, chroma: str, shots=3, per_shot=5, h=8, w=12) -> tuple[bytes, list[bytes]]:
+    """The header and frame payloads ``write_y4m`` writes for shots of noisy
+    solid colours."""
+    frames = []
+    for _ in range(shots):
+        base = rng.integers(0, 256, size=3)
+        for _ in range(per_shot):
+            noise = rng.integers(-6, 7, size=(h, w, 3))
+            frames.append(FrameBuffer(np.clip(base + noise, 0, 255).astype(np.uint8)))
+    header, rest = write_y4m(FrameStream(frames), chroma=chroma).split(b"\n", 1)
+    size = len(rest) // len(frames)
+    assert all(rest[i * size:].startswith(b"FRAME\n") for i in range(len(frames)))
+    return header, [rest[i * size + 6:(i + 1) * size] for i in range(len(frames))]
+
+
+def assert_streamed_matches_parsed(path, offsets: list[int]) -> None:
+    """iter_y4m yields parse_y4m's frames, at the given payload offsets, and
+    cutting the stream from it gives detect_shots' shots of parse_y4m, with
+    each keyframe decoded again by index equal to the parsed one."""
+    parsed = parse_y4m(path.read_bytes())
+    with iter_y4m(path) as frames:
+        assert frames.header.frame_rate == parsed.frame_rate
+        for streamed, frame in zip(frames, parsed.frames, strict=True):
+            np.testing.assert_array_equal(streamed.pixels, frame.pixels)
+        assert frames.offsets == offsets
+        cut = detect_shots(frames)
+        keyframes = [frames.decode(kf) for kf in cut.keyframes]
+    assert cut == detect_shots(parsed)
+    assert len(cut.keyframes) > 1
+    # decoded frames are copies, so they outlive the map
+    for kf, keyframe in zip(cut.keyframes, keyframes, strict=True):
+        np.testing.assert_array_equal(keyframe.pixels, parsed.frames[kf].pixels)
+
+
+class TestStreamedY4m:
+    """``iter_y4m`` walks a memory-mapped file one frame at a time; it reads
+    what ``parse_y4m`` reads and fails as it fails."""
+
+    @pytest.mark.parametrize("markers", [
+        (b"FRAME",),
+        (b"FRAME Ip", b"FRAME", b"FRAME Xparam=1 A1:1"),
+    ], ids=["plain", "with-parameters"])
+    @pytest.mark.parametrize("chroma", ["420", "422", "444"])
+    def test_matches_parse_y4m(self, rng, tmp_path, chroma, markers):
+        header, payloads = shot_payloads(rng, chroma)
+        data, offsets = y4m_stream(header, payloads, markers)
+        path = tmp_path / "video.y4m"
+        path.write_bytes(data)
+        assert_streamed_matches_parsed(path, offsets)
+
+    def test_matches_parse_y4m_on_the_mini_corpus(self, tmp_path):
+        generate(tmp_path / "mini")
+        videos = sorted((tmp_path / "mini" / "videos").glob("*.y4m"))
+        assert len(videos) == 8
+        for path in videos:
+            data = path.read_bytes()
+            start = data.index(b"\n") + 1
+            tags = dict((tag[:1], tag[1:]) for tag in data[:start - 1].split(b" "))
+            assert tags[b"C"] == b"420jpeg"
+            frame_size = 6 + int(tags[b"W"]) * int(tags[b"H"]) * 3 // 2
+            offsets = list(range(start + 6, len(data), frame_size))
+            assert start + len(offsets) * frame_size == len(data)
+            assert_streamed_matches_parsed(path, offsets)
+
+    def test_empty_file_lacks_the_signature(self, tmp_path):
+        path = tmp_path / "empty.y4m"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="missing YUV4MPEG2 signature") as err:
+            with iter_y4m(path):
+                pass
+        assert type(err.value) is FormatError and err.value.offset == 0
+
+    @pytest.mark.parametrize("header, bad", [
+        (b"YUV4MPEG2 W4 H4", 1),
+        (b"YUV4MPEG2 W99999999998 H99999999998", 0),  # W x H overruns the file
+    ])
+    def test_frame_past_the_end_is_truncation(self, tmp_path, header, bad):
+        data, offsets = y4m_stream(header, [bytes(24), bytes(10)])
+        path = tmp_path / "video.y4m"
+        path.write_bytes(data)
+        with pytest.raises(TruncationError) as err:
+            with iter_y4m(path) as frames:
+                list(frames)
+        assert err.value.offset == offsets[bad] and f"frame {bad} payload truncated" in str(err.value)
+        with pytest.raises(TruncationError) as parsed:
+            parse_y4m(data)
+        assert str(parsed.value) == str(err.value)
+
+    def test_missing_marker_reports_offset(self, tmp_path):
+        data, offsets = y4m_stream(b"YUV4MPEG2 W4 H4", [bytes(24), bytes(24)])
+        path = tmp_path / "video.y4m"
+        path.write_bytes(data[:offsets[1] - 6] + b"FRAMX\n" + data[offsets[1]:])
+        with pytest.raises(FormatError, match="expected FRAME marker") as err:
+            with iter_y4m(path) as frames:
+                list(frames)
+        assert err.value.offset == offsets[1] - 6
+
+
+def write_shot_video(path, n: int, h: int = 120, w: int = 160) -> None:
+    """A 4:2:0 video of n frames in shots of 20, cycling through three colours."""
+    frames = [solid_frame(color, w, h) for color in ((250, 10, 10), (10, 10, 250), (10, 250, 10))]
+    header, rest = write_y4m(FrameStream(frames)).split(b"\n", 1)
+    size = len(rest) // len(frames)
+    path.write_bytes(header + b"\n" + b"".join(
+        rest[(i // 20 % 3) * size:(i // 20 % 3 + 1) * size] for i in range(n)))
+
+
+def test_segment_memory_is_bounded_by_a_few_frames(tmp_path):
+    """Cutting 400 frames peaks within two frames of cutting 25: segment holds
+    a few frames, not the decoded trailer or copies of the stream's rest."""
+    media._decode_tables()  # the lazily built tables, outside the trace
+    shots._sv_table()
+    peaks = {}
+    for n in (25, 400):
+        path = tmp_path / f"{n}.y4m"
+        write_shot_video(path, n)
+        tracemalloc.start()
+        keyframes = pipeline._segment_video(0.75, tmp_path / f"cache{n}", (1, path))
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert [kf for _, kf, _ in keyframes] == [(s + min(s + 19, n - 1)) // 2
+                                                  for s in range(0, n, 20)]
+    assert peaks[400] < peaks[25] + 2 * 120 * 160 * 3, peaks
+
+
+def _resident_kb() -> int:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmRSS")
+def test_walked_pages_of_the_map_are_let_go(tmp_path):
+    """A walk unmaps the pages behind it: the process does not keep the
+    11.5 MB file resident (tracemalloc does not see mapped pages)."""
+    path = tmp_path / "400.y4m"
+    write_shot_video(path, 400)
+    with iter_y4m(path) as frames:
+        next(iter(frames))  # the tables and the first frame's buffers
+        before = _resident_kb()
+        detect_shots(frames)
+        grown = _resident_kb() - before
+    assert path.stat().st_size > 11_000_000
+    assert grown < 3_000, f"{grown} kB stayed resident"
+
+
+class TestWriteY4m:
+    """The encoder writes its oracle's bytes (numpy's ``mean`` over reshaped
+    chroma blocks), and only frame rates its reader reads back."""
+
+    @pytest.mark.parametrize("chroma", ["420", "422", "444"])
+    def test_bytes_equal_the_mean_oracle(self, rng, chroma):
+        sizes = [(h, w) for h in range(2, 65, 2) for w in range(2, 65, 2)] + [(240, 320)]
+        for h, w in sizes:
+            frames = rng.integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
+            stream = FrameStream([FrameBuffer(f) for f in frames], frame_rate=24.0)
+            assert write_y4m(stream, chroma) == write_y4m_oracle(frames, "24:1", chroma), (h, w)
+
+    @pytest.mark.parametrize("rate", [0.0, -24.0, 1e-9, math.inf, math.nan])
+    def test_rate_the_reader_refuses_is_a_value_error(self, rate):
+        stream = FrameStream([solid_frame((1, 2, 3), 4, 4)], frame_rate=rate)
+        with pytest.raises(ValueError, match="frame rate must be positive and finite"):
+            write_y4m(stream)
+
+    @pytest.mark.parametrize("rate, tag", [
+        (24.0, b"F24:1"), (29.97, b"F2997:100"), (30000 / 1001, b"F30000:1001"), (0.5, b"F1:2"),
+    ])
+    def test_valid_rate_round_trips(self, rate, tag):
+        data = write_y4m(FrameStream([solid_frame((1, 2, 3), 4, 4)], frame_rate=rate))
+        assert tag in data[:data.index(b"\n")].split(b" ")
+        assert parse_y4m(data).frame_rate == pytest.approx(rate, rel=1e-12)
 
 
 class TestYcbcrDecode:

@@ -759,6 +759,31 @@ class TestCli:
         assert f"error: {video}: frame " in result.output and "payload truncated" in result.output
         assert not (tmp_path / "cache" / "segment" / "manifest.json").exists()
 
+    _HUGE = b"YUV4MPEG2 W99999999998 H99999999998 C420jpeg\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("content, error, message", [
+        (b"", FormatError, "missing YUV4MPEG2 signature (at byte offset 0)"),
+        # W x H overruns the file: the frame is truncated, not a bare ValueError
+        (_HUGE + b"FRAME\n" + bytes(100), TruncationError,
+         f"frame 0 payload truncated (need {99999999998 ** 2 * 3 // 2} bytes, got 100) "
+         f"(at byte offset {len(_HUGE) + 6})"),
+    ], ids=["empty", "frame-past-the-end"])
+    def test_malformed_video_exits_with_its_format_code(self, mini, tmp_path, jobs, content,
+                                                        error, message):
+        cfg_path = cli_config(mini, tmp_path)
+        videos = shutil.copytree(mini.parent / "videos", tmp_path / "videos")
+        cfg_data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**cfg_data, "videos_dir": str(videos)}))
+        video = videos / "2.y4m"
+        video.write_bytes(content)
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "--jobs", jobs, "segment"])
+        assert result.exit_code == error.exit_code
+        assert type(result.exception) is SystemExit
+        assert result.output.count("error:") == 1 and "Traceback" not in result.output
+        assert f"error: {video}: {message}" in result.output
+        assert not (tmp_path / "cache" / "segment" / "manifest.json").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_video_entry_that_is_no_file_exits_with_config_code(self, mini, tmp_path, jobs):
         cfg_path = cli_config(mini, tmp_path)
