@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, MissingUserError, ParameterError
+from .errors import EmptyInputError, ParameterError
 from .recsys import (
     DEFAULT_RELEVANCE_THRESHOLD,
     InteractionMatrix,
@@ -42,8 +42,6 @@ class Split:
     """Entry-index partition of one fold; indices point into the parent
     InteractionMatrix entry arrays."""
 
-    fold: int
-    seed: int
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
@@ -78,8 +76,6 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
             train.extend(perm[n_val + n_test :])
         splits.append(
             Split(
-                fold=fold,
-                seed=seed,
                 train_idx=np.sort(np.asarray(train, dtype=np.int64)),
                 val_idx=np.sort(np.asarray(val, dtype=np.int64)),
                 test_idx=np.sort(np.asarray(test, dtype=np.int64)),
@@ -88,57 +84,23 @@ def make_splits(R: InteractionMatrix, folds: int = 5, seed: int = 0) -> list[Spl
     return splits
 
 
-def _user_scores(model: SimilarityModel, R_train: InteractionMatrix, user_id):
-    """(scores over every item, rated item positions) of one training user;
-    the positions are a view of ``R_train.indices``."""
-    u = R_train.user_index(user_id)
-    rated = R_train.indices[R_train.indptr[u] : R_train.indptr[u + 1]]
-    if len(rated) == 0:
-        raise MissingUserError(f"user {user_id} has no training ratings")
-    return score(model, R_train, user_id), rated
-
-
-def _rank_unrated(R_train: InteractionMatrix, user_id, item_id, scores, rated) -> int:
-    """1-based rank of the item among the items outside ``rated``. Ties count
-    against the item."""
-    t = R_train.item_index(item_id)
-    if t in rated:
-        raise ParameterError(f"item {item_id} is already rated by user {user_id}")
-    mask = np.ones(R_train.n_items, dtype=bool)
-    mask[rated] = False
-    mask[t] = False
-    return int(1 + (scores[mask] >= scores[t]).sum())
-
-
-def rank_one_plus_unrated(
-    model: SimilarityModel, R_train: InteractionMatrix, user_id, test_item_id
-) -> int:
-    """1-based rank of the held-out item among everything the user has not
-    rated in training. Ties count against the test item."""
-    scores, rated = _user_scores(model, R_train, user_id)
-    return _rank_unrated(R_train, user_id, test_item_id, scores, rated)
-
-
-@dataclass(frozen=True)
-class RankObservation:
-    user_id: int
-    rank: int
-    n_candidates: int
-
-
 def compute_metrics(
-    observations: list[RankObservation], cutoffs: tuple[int, ...] = CUTOFFS
+    users, ranks, cutoffs: tuple[int, ...] = CUTOFFS
 ) -> dict[tuple[str, str, int], float]:
-    """Both metric families, keyed (family, metric, cutoff)."""
-    if not observations:
+    """Both metric families, keyed (family, metric, cutoff), from each
+    observation's user and rank, in observation order."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    if not len(ranks):
         raise EmptyInputError("no rank observations to score")
     for n in cutoffs:
         if n < 1:
             raise ParameterError(f"cutoff must be >= 1, got {n}")
-    ranks = np.array([o.rank for o in observations], dtype=np.float64)
-    by_user: dict[int, list[int]] = {}
-    for o in observations:
-        by_user.setdefault(o.user_id, []).append(o.rank)
+    # each user's ranks, ascending, users in the order of their first
+    # observation: the standard means add the users up in that order
+    _, first, group, n_rel = np.unique(users, return_index=True, return_inverse=True,
+                                       return_counts=True)
+    n_rel = n_rel[np.argsort(first)]
+    by_user = np.split(ranks[np.lexsort((ranks, first[group]))], np.cumsum(n_rel)[:-1])
 
     out: dict[tuple[str, str, int], float] = {}
     for n in cutoffs:
@@ -148,18 +110,12 @@ def compute_metrics(
         out[("protocol", "precision", n)] = recall / n
         out[("protocol", "map", n)] = float(np.where(hits, 1.0 / ranks, 0.0).mean())
 
-        precisions, recalls, aps = [], [], []
-        for user_ranks in by_user.values():
-            r = np.sort(np.asarray(user_ranks, dtype=np.float64))
-            hit_ranks = r[r <= n]
-            n_rel = len(r)
-            precisions.append(len(hit_ranks) / n)
-            recalls.append(len(hit_ranks) / n_rel)
-            positions = np.arange(1, len(hit_ranks) + 1)
-            ap = (positions / hit_ranks).sum() / min(n_rel, n) if len(hit_ranks) else 0.0
-            aps.append(ap)
-        out[("standard", "precision", n)] = float(np.mean(precisions))
-        out[("standard", "recall", n)] = float(np.mean(recalls))
+        hit_ranks = [r[r <= n] for r in by_user]
+        n_hit = np.array([len(h) for h in hit_ranks])
+        aps = [(np.arange(1, len(h) + 1) / h).sum() / min(m, n) if len(h) else 0.0
+               for h, m in zip(hit_ranks, n_rel)]
+        out[("standard", "precision", n)] = float(np.mean(n_hit / n))
+        out[("standard", "recall", n)] = float(np.mean(n_hit / n_rel))
         out[("standard", "map", n)] = float(np.mean(aps))
     return out
 
@@ -167,34 +123,41 @@ def compute_metrics(
 def collect_observations(
     model: SimilarityModel,
     R_train: InteractionMatrix,
-    test_entries: list[tuple[int, int, float]],
+    held_out: np.recarray,
     relevance_threshold: float = DEFAULT_RELEVANCE_THRESHOLD,
-) -> tuple[list[RankObservation], int]:
-    """Rank every relevant test entry; returns (observations, skipped count).
+) -> tuple[np.recarray, int]:
+    """Rank every relevant held-out entry; returns (ranked, skipped count).
 
-    Observations come in entry order. Each user is scored once, all of the
-    user's entries are ranked, and the scores are dropped before the next
-    user, so memory holds one score vector at a time. Users that cannot be
-    ranked (no training ratings) are skipped, not fatal.
+    ``held_out`` holds entries in index space, as the fields ``user`` and
+    ``item`` (positions in R_train's universes) and ``rating``. ``ranked``
+    holds the ranked entries' ``user`` and ``rank`` fields, in entry order.
+    An entry's rank is the count of the user's unrated items, the entry's
+    own included, that score at least as high as it, so ties count against
+    it. Each user is scored once and all of the user's entries are ranked
+    together. Users with no training ratings cannot be ranked and are
+    skipped, not fatal.
     """
-    relevant = [entry for entry in test_entries if entry[2] >= relevance_threshold]
-    by_user: dict = {}  # user id -> positions in ``relevant``
-    for pos, (user_id, _, _) in enumerate(relevant):
-        by_user.setdefault(user_id, []).append(pos)
-    ranked: list[RankObservation | None] = [None] * len(relevant)
-    skipped = 0
-    for user_id, positions in by_user.items():
-        try:
-            scores, rated = _user_scores(model, R_train, user_id)
-        except MissingUserError:
-            skipped += len(positions)
+    relevant = held_out[held_out["rating"] >= relevance_threshold]
+    order = np.argsort(relevant["user"], kind="stable")
+    users = relevant["user"][order]
+    starts = np.flatnonzero(np.diff(users, prepend=-1))
+    ranks = np.zeros(len(relevant), dtype=np.int64)
+    kept = np.ones(len(relevant), dtype=bool)
+    for u, at in zip(users[starts], np.split(order, starts[1:])):
+        rated = R_train.indices[R_train.indptr[u] : R_train.indptr[u + 1]]
+        if len(rated) == 0:
+            kept[at] = False
             continue
-        for pos in positions:
-            rank = _rank_unrated(R_train, user_id, relevant[pos][1], scores, rated)
-            ranked[pos] = RankObservation(
-                user_id=user_id, rank=rank, n_candidates=R_train.n_items - len(rated)
-            )
-    return [obs for obs in ranked if obs is not None], skipped
+        unrated = np.ones(R_train.n_items, dtype=bool)
+        unrated[rated] = False
+        items = relevant["item"][at]
+        if not unrated[items].all():
+            item = R_train.item_ids[items[~unrated[items]][0]]
+            raise ParameterError(f"item {item} is already rated by user {R_train.user_ids[u]}")
+        scores = score(model, R_train, R_train.user_ids[u])
+        ranks[at] = (scores[unrated] >= scores[items][:, None]).sum(axis=1)
+    ranked = np.rec.fromarrays((relevant["user"][kept], ranks[kept]), names="user,rank")
+    return ranked, int((~kept).sum())
 
 
 @dataclass

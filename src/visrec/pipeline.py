@@ -544,19 +544,14 @@ def _evaluate_fold(cfg: PipelineConfig, family: str, R, F, spectrum, split):
     ones; returns the fold's metrics and skipped count."""
     R_train = R.restrict(split.train_idx)
     model = _train(cfg, family, R_train, F, spectrum)
-    eval_idx = split.test_idx if cfg.eval_on == "test" else split.val_idx
-    entries = [
-        (
-            R.user_ids[R.entry_users[i]],
-            R.item_ids[R.entry_items[i]],
-            R.entry_ratings[i],
-        )
-        for i in eval_idx
-    ]
-    obs, skipped = collect_observations(
-        model, R_train, entries, relevance_threshold=cfg.relevance_threshold
+    at = split.test_idx if cfg.eval_on == "test" else split.val_idx
+    # restrict keeps R's universes, so R's user and item positions index R_train
+    held_out = np.rec.fromarrays((R.entry_users[at], R.entry_items[at], R.entry_ratings[at]),
+                                 names="user,item,rating")
+    ranked, skipped = collect_observations(
+        model, R_train, held_out, relevance_threshold=cfg.relevance_threshold
     )
-    return compute_metrics(obs, cutoffs=cfg.cutoffs), skipped
+    return compute_metrics(ranked["user"], ranked["rank"], cutoffs=cfg.cutoffs), skipped
 
 
 def run_evaluation(cfg: PipelineConfig, family: str, jobs: int = 1) -> EvalReport:

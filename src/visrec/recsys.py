@@ -54,7 +54,7 @@ CONSTANT_COLUMN_RTOL = 1e-12
 
 
 class InteractionMatrix:
-    """Sparse user x item ratings with timestamps.
+    """Sparse user x item ratings.
 
     User and item id universes are fixed at construction; an explicit
     ``item_ids`` list lets cold items (features but no ratings) occupy
@@ -75,7 +75,6 @@ class InteractionMatrix:
         u_idx = np.empty(len(entries), dtype=np.int64)
         i_idx = np.empty(len(entries), dtype=np.int64)
         ratings = np.empty(len(entries))
-        stamps = np.zeros(len(entries), dtype=np.int64)
         for pos, entry in enumerate(entries):
             user, item, rating = entry[0], entry[1], float(entry[2])
             if user not in self._user_index:
@@ -94,16 +93,13 @@ class InteractionMatrix:
             u_idx[pos] = self._user_index[user]
             i_idx[pos] = self._item_index[item]
             ratings[pos] = rating
-            if len(entry) > 3 and entry[3] is not None:
-                stamps[pos] = int(entry[3])
-        self._set_entries(u_idx, i_idx, ratings, stamps)
+        self._set_entries(u_idx, i_idx, ratings)
 
-    def _set_entries(self, users, items, ratings, stamps) -> None:
+    def _set_entries(self, users, items, ratings) -> None:
         """Store valid entry arrays and build the CSR arrays from them."""
         self.entry_users = users
         self.entry_items = items
         self.entry_ratings = ratings
-        self.entry_timestamps = stamps
         order = np.lexsort((items, users))
         self.indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(users, minlength=self.n_users)))
@@ -144,8 +140,7 @@ class InteractionMatrix:
         if np.unique(pos).size != pos.size:
             raise DuplicateKeyError("restrict needs distinct entry positions")
         sub = InteractionMatrix([], item_ids=self.item_ids, user_ids=self.user_ids)
-        sub._set_entries(self.entry_users[pos], self.entry_items[pos],
-                         self.entry_ratings[pos], self.entry_timestamps[pos])
+        sub._set_entries(self.entry_users[pos], self.entry_items[pos], self.entry_ratings[pos])
         return sub
 
     def with_items(self, item_ids) -> "InteractionMatrix":
@@ -156,12 +151,13 @@ class InteractionMatrix:
         if (items < 0).any():  # name the first entry, in entry order, whose item is missing
             item = self.item_ids[self.entry_items[np.argmax(items < 0)]]
             raise AlignmentError(f"item {item} outside the declared item universe")
-        wide._set_entries(self.entry_users, items, self.entry_ratings, self.entry_timestamps)
+        wide._set_entries(self.entry_users, items, self.entry_ratings)
         return wide
 
 
 def load_ratings_csv(path: str | Path, item_ids=None) -> InteractionMatrix:
-    """MovieLens ratings.csv (userId,movieId,rating,timestamp)."""
+    """MovieLens ratings.csv (userId,movieId,rating,timestamp); the timestamp
+    is checked to be a 64-bit integer, not kept."""
     entries = read_csv_table(path, ("userId", "movieId", "rating"), lambda row: (
         parse_int64(row["userId"]),
         parse_int64(row["movieId"]),

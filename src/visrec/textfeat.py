@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, VocabularyError
+from .errors import DuplicateKeyError, EmptyInputError, ParameterError, VocabularyError
 from .featureio import parse_int64, read_csv_table
 
 if TYPE_CHECKING:
@@ -147,9 +147,16 @@ def fit_tag_lsa(tag_assignments: list[tuple[int, str, float]], k: int = 100) -> 
 # ---------------------------------------------------------------------------
 
 def load_movies_csv(path: str | Path) -> list[tuple[int, str, list[str]]]:
-    """movies.csv rows as (movieId, title, genre labels); pipes split genres."""
-    return read_csv_table(path, ("movieId", "title", "genres"), lambda row: (
+    """movies.csv rows as (movieId, title, genre labels); pipes split genres.
+    A movieId listed twice is a DuplicateKeyError."""
+    catalog = read_csv_table(path, ("movieId", "title", "genres"), lambda row: (
         parse_int64(row["movieId"]), row["title"], [g for g in row["genres"].split("|") if g]))
+    seen = set()
+    for movie_id, _, _ in catalog:
+        if movie_id in seen:
+            raise DuplicateKeyError(f"{path}: movieId {movie_id} is listed more than once")
+        seen.add(movie_id)
+    return catalog
 
 
 def load_tags_csv(path: str | Path) -> list[tuple[int, str, float]]:

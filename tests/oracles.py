@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package implementations: the DCT oracle is
 the O(N^4) double loop, the CCA oracle a multiresolution angular grid sweep,
-HSV quantization a scalar re-derivation, and so on. Three exceptions share
+HSV quantization a scalar re-derivation, and so on. Four exceptions share
 code with the package. The collective SLIM oracle shares the trainer's input
 preparation (column standardization and the negative sampler) and differs
 from it in how S is stored and updated: it trains on the standardized
@@ -11,6 +11,9 @@ of their Gram from a dense ``eigvalsh``. The HSV cell
 reference ``hsv_cells_float`` is the float whole-frame cell rule that
 ``shots.hsv_cell_indices`` replaced with integer arithmetic: it bins the
 package's own hexcone ``media.rgb_image_to_hsv``, which defines the cell ids.
+The rank oracle ``rank_unrated_oracle`` is the per-entry rule that ranking
+each user's held-out items at once replaced: one n-long mask per entry, over
+the package's ``recsys.score``, the one scoring rule.
 The primal CCA reference ``cca_primal_oracle`` is the covariance-space
 ``fit_cca`` that whitening each view from its cheaper side replaced: it
 builds both d x d inverse square roots and the d1 x d2 whitened
@@ -55,6 +58,7 @@ from visrec.recsys import (
     SimilarityModel,
     TrainConfig,
     sample_negative,
+    score,
     standardize_columns,
 )
 from visrec.shots import N_CELLS, hsv_cell_indices
@@ -557,6 +561,27 @@ def make_splits_oracle(R: InteractionMatrix, folds: int, seed: int) -> list[tupl
         out.append(tuple(np.sort(np.asarray(part, dtype=np.int64))
                          for part in (train, val, test)))
     return out
+
+
+# --- one-plus-unrated ranks: the per-entry mask rule that
+# ``evaluation.collect_observations`` replaced
+
+def rank_unrated_oracle(model: SimilarityModel, R_train: InteractionMatrix, user_id, item_id):
+    """1-based rank of the item among the items the user has not rated in
+    training, ties counting against it; None for a user with no training
+    ratings, and a ParameterError for an item the user has rated."""
+    u = R_train.user_index(user_id)
+    rated = R_train.indices[R_train.indptr[u] : R_train.indptr[u + 1]]
+    if len(rated) == 0:
+        return None
+    scores = score(model, R_train, user_id)
+    t = R_train.item_index(item_id)
+    if t in rated:
+        raise ParameterError(f"item {item_id} is already rated by user {user_id}")
+    mask = np.ones(R_train.n_items, dtype=bool)
+    mask[rated] = False
+    mask[t] = False
+    return int(1 + (scores[mask] >= scores[t]).sum())
 
 
 # --- collective SLIM: the dense trainer, one full O(n^2 d) feature step per

@@ -9,11 +9,7 @@ import pytest
 
 from visrec.aggregate import AggregationKind, aggregate
 from visrec.descriptors import cld, csd, ehd, htd, mpeg7_all, scd
-from visrec.evaluation import (
-    RankObservation,
-    compute_metrics,
-    rank_one_plus_unrated,
-)
+from visrec.evaluation import collect_observations, compute_metrics
 from visrec.fusion import fit_cca
 from visrec.media import FrameBuffer, FrameStream, hsv_to_rgb, parse_y4m, write_y4m
 from visrec.minidata import generate
@@ -169,16 +165,18 @@ def test_criterion_06_learning_signal():
 def test_criterion_07_side_information_helps_cold_items():
     R, F, cold, test_positives = cold_item_dataset(seed=9)
     assert len(cold) / R.n_items == pytest.approx(0.30)
+    held_out = np.rec.fromarrays(
+        ([R.user_index(user) for user, _ in test_positives],
+         [R.item_index(item) for _, item in test_positives],
+         np.full(len(test_positives), 5.0)), names="user,item,rating")
     recall = {}
     for alpha in (0.5, 1.0):
         model = train_collective_slim(
             R, F, TrainConfig(alpha=alpha, epochs=30, learning_rate=0.05, seed=4)
         )
-        hits = sum(
-            rank_one_plus_unrated(model, R, user, item) <= 10
-            for user, item in test_positives
-        )
-        recall[alpha] = hits / len(test_positives)
+        ranked, skipped = collect_observations(model, R, held_out)
+        assert skipped == 0
+        recall[alpha] = (ranked["rank"] <= 10).sum() / len(test_positives)
     gap = recall[0.5] - recall[1.0]
     assert gap >= 0.10
     report(7, f"cold recall@10: alpha=0.5 {recall[0.5]:.3f} vs alpha=1 {recall[1.0]:.3f} (gap {gap:.3f})")
@@ -192,8 +190,7 @@ def test_criterion_08_metric_oracle():
         (4, 9), (4, 40), (4, 41), (4, 55),
         (5, 21),
     ]
-    obs = [RankObservation(u, r, 60) for u, r in raw]
-    metrics = compute_metrics(obs, cutoffs=(1, 10, 20))
+    metrics = compute_metrics([u for u, _ in raw], [r for _, r in raw], cutoffs=(1, 10, 20))
     for n in (1, 10, 20):
         expected = metrics_oracle(raw, n)
         for (family, metric), value in expected.items():

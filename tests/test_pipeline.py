@@ -20,6 +20,7 @@ from visrec.errors import (
     ConfigError,
     DependencyError,
     DivergenceError,
+    DuplicateKeyError,
     EmptyInputError,
     FormatError,
     MissingUserError,
@@ -305,22 +306,23 @@ class TestCacheSemantics:
         ranked = []
         collect = pipeline.collect_observations
 
-        def recording_collect(model, R_train, entries, **kwargs):
-            ranked.append(entries)
-            return collect(model, R_train, entries, **kwargs)
+        def recording_collect(model, R_train, held_out, **kwargs):
+            ranked.append(held_out)
+            return collect(model, R_train, held_out, **kwargs)
 
         monkeypatch.setattr(pipeline, "collect_observations", recording_collect)
         assert run_stage("evaluate", cfg, family="genre", force=True)
         assert run_stage("evaluate", cfg, family="genre") == []
         R, _ = pipeline.load_family_matrix(cfg, "genre")
 
-        def entries(idx):
-            return [(R.user_ids[R.entry_users[i]], R.item_ids[R.entry_items[i]],
-                     R.entry_ratings[i]) for i in idx]
+        def entries(idx):  # R's entries at idx, as positions and ratings
+            return [R.entry_users[idx].tolist(), R.entry_items[idx].tolist(),
+                    R.entry_ratings[idx].tolist()]
 
+        recorded = [[h["user"].tolist(), h["item"].tolist(), h["rating"].tolist()] for h in ranked]
         splits = make_splits(R, folds=cfg.folds, seed=cfg.seed)
-        assert ranked == [entries(split.val_idx) for split in splits]
-        assert ranked != [entries(split.test_idx) for split in splits]
+        assert recorded == [entries(split.val_idx) for split in splits]
+        assert recorded != [entries(split.test_idx) for split in splits]
 
     def test_unknown_stage(self, mini):
         with pytest.raises(ConfigError):
@@ -588,6 +590,21 @@ class TestCli:
         assert result.exit_code == FormatError.exit_code
         assert type(result.exception) is SystemExit
         assert f"error: {bad} line 2" in result.output and "int64" in result.output
+
+    def test_repeated_movie_id_exits_with_duplicate_code(self, mini, tmp_path):
+        cfg_path = cli_config(mini, tmp_path)
+        cfg_data = json.loads(cfg_path.read_text())
+        movies = tmp_path / "movies.csv"
+        movies.write_text(Path(cfg_data["movies"]).read_text()
+                          + '1,"Crimson Pursuit again",Comedy\n')
+        cfg_data.update(movies=str(movies), families=["genre"])
+        cfg_path.write_text(json.dumps(cfg_data))
+        result = CliRunner().invoke(main, ["--config", str(cfg_path), "run-all"])
+        assert result.exit_code == DuplicateKeyError.exit_code == 15
+        assert type(result.exception) is SystemExit
+        assert f"error: {movies}: movieId 1 is listed more than once" in result.output
+        textfeat = tmp_path / "cache" / "textfeat"
+        assert not textfeat.exists() or not any(textfeat.rglob("*"))
 
     @pytest.mark.parametrize("name", ["+7.y4m", "1_0.y4m"])
     def test_video_name_int_would_take_exits_with_config_code(self, mini, tmp_path, name):

@@ -102,7 +102,6 @@ class TestInteractionMatrix:
         assert wide.user_ids == R.user_ids and wide.n_entries == R.n_entries
         assert wide.item_ids == (5, 10, 20, 30, 40, 50)
         np.testing.assert_array_equal(csr(wide).toarray()[:, 1:5], csr(R).toarray())
-        np.testing.assert_array_equal(wide.entry_timestamps, R.entry_timestamps)
 
     def test_with_items_names_first_missing_item(self):
         # entries in order: items 10, 20, 20, 30, 10, 40; 30 and 40 are dropped

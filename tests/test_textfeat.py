@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from visrec.errors import FormatError, VocabularyError
+from visrec.errors import DuplicateKeyError, FormatError, VocabularyError
 from visrec.recsys import load_ratings_csv
 from visrec.textfeat import (
     GENRES,
@@ -152,6 +152,14 @@ class TestMovieLensLoaders:
             "3,2,paris,102\n"
         )
         assert load_tags_csv(tags) == [(1, "space", 2.0), (2, "paris", 1.0)]
+
+    def test_repeated_movie_id_rejected(self, tmp_path):
+        movies = tmp_path / "movies.csv"
+        movies.write_text("movieId,title,genres\n"
+                          "1,Example One,Action\n2,Example Two,Drama\n1,Again,Comedy\n")
+        with pytest.raises(DuplicateKeyError) as err:
+            load_movies_csv(movies)
+        assert str(err.value) == f"{movies}: movieId 1 is listed more than once"
 
     @pytest.mark.parametrize("loader, name, text, where", [
         (load_tags_csv, "tags.csv",
