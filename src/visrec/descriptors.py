@@ -18,7 +18,7 @@ from .shots import N_CELLS, frame_histogram, hsv_cell_indices
 
 # The descriptors' revision, part of extract's cache key: raise it whenever a
 # descriptor's output changes, so a cache of the old vectors is stale.
-VERSION = 1
+VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,8 @@ def ehd(frame: FrameBuffer) -> FeatureVector:
 
 
 # ---------------------------------------------------------------------------
-# HTD: Gabor bank energies, 6 orientations x 5 octave-spaced scales
+# HTD: Gabor channel energies from the power spectrum, 6 orientations x 5
+# octave-spaced scales
 # ---------------------------------------------------------------------------
 
 HTD_ORIENTATIONS = 6
@@ -249,60 +250,97 @@ def htd_center_frequency(scale: int) -> float:
     return _TOP_FREQ / (2.0 ** scale)
 
 
-@lru_cache(maxsize=8)
-def _gabor_bank(height: int, width: int) -> np.ndarray:
-    """Polar-separable Gaussian frequency responses, DC forced to zero, on
-    the ``width // 2 + 1`` non-negative column frequencies of ``rfft2``.
+# One table per frame size; a 1920x1080 table is 11 planes of 1080 x 961
+# doubles, 91 MB, so a corpus of mixed sizes keeps at most two.
+@lru_cache(maxsize=2)
+def _gabor_factors(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squared Gabor bank as separable factors on the ``width // 2 + 1``
+    non-negative column frequencies of ``rfft2``: ``radial[s] * angular[r]``
+    is the squared filter of channel (s, r), both factors ``height`` x
+    ``width // 2 + 1``, and ``weights[j]`` is how many columns of the full
+    frequency plane half-plane column j stands for.
 
-    Radial sigma puts neighboring octave-spaced filters at half-peak overlap;
-    angular sigma does the same for the 30-degree orientation step. Each
-    filter g is stored symmetrised, ``(g(f) + g(-f)) / 2``: for a real image
-    the real part of the complex inverse transform of ``spectrum * g`` is
-    the real inverse transform of ``spectrum`` times that filter. g is
-    symmetric under point reflection except on the Nyquist row or column of
-    an even size, where ``fftfreq`` gives -0.5 at both ends.
+    Each filter is a Gaussian in the radius times one in the angle, DC
+    forced to zero. Radial sigma puts neighboring octave-spaced filters at
+    half-peak overlap; angular sigma does the same for the 30-degree
+    orientation step. The filter g is taken symmetrised,
+    ``(g(f) + g(-f)) / 2``: for a real image that times the spectrum is the
+    spectrum of the real part of the filtered image. The radial factor is
+    symmetric under point reflection, so only the angular one is
+    symmetrised; it differs from its mirror only on the Nyquist row or column
+    of an even size, where ``fftfreq`` gives -0.5 at both ends.
+
+    Column j and its mirror ``width - j`` have the same spectral power and
+    filter weight, so the full plane counts each column twice, except
+    column 0 and an even width's Nyquist column.
     """
+    half = width // 2 + 1
     fy = np.fft.fftfreq(height)[:, None]
     fx = np.fft.fftfreq(width)[None, :]
-    omega = np.hypot(fx, fy)
+    omega = np.hypot(fx[:, :half], fy)
     theta = np.arctan2(fy, fx)
-    sigma_theta = (math.pi / 12.0) / _HALF_PEAK
-    angular = []  # each orientation's factor, shared by the scales
-    for r in range(HTD_ORIENTATIONS):
-        theta0 = math.pi * r / HTD_ORIENTATIONS
-        dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
-        angular.append(np.exp(-0.5 * (dtheta / sigma_theta) ** 2))
-    half = width // 2 + 1
-    bank = np.empty((HTD_SCALES * HTD_ORIENTATIONS, height, half))
+    radial = np.empty((HTD_SCALES, height, half))
     for s in range(HTD_SCALES):
         f0 = htd_center_frequency(s)
         sigma_f = f0 / (3.0 * _HALF_PEAK)
-        radial = np.exp(-0.5 * ((omega - f0) / sigma_f) ** 2)
-        for r in range(HTD_ORIENTATIONS):
-            g = radial * angular[r]
-            g[0, 0] = 0.0
-            # g at -f: index (-i mod height, -j mod width)
-            mirrored = np.roll(g[::-1, ::-1], 1, axis=(0, 1))
-            bank[s * HTD_ORIENTATIONS + r] = 0.5 * (g[:, :half] + mirrored[:, :half])
-    bank.setflags(write=False)
-    return bank
+        radial[s] = np.exp(-0.5 * ((omega - f0) / sigma_f) ** 2) ** 2
+    radial[:, 0, 0] = 0.0
+    sigma_theta = (math.pi / 12.0) / _HALF_PEAK
+    angular = np.empty((HTD_ORIENTATIONS, height, half))
+    for r in range(HTD_ORIENTATIONS):
+        theta0 = math.pi * r / HTD_ORIENTATIONS
+        dtheta = (theta - theta0 + math.pi / 2.0) % math.pi - math.pi / 2.0
+        a = np.exp(-0.5 * (dtheta / sigma_theta) ** 2)
+        # a at -f: index (-i mod height, -j mod width)
+        mirrored = np.roll(a[::-1, ::-1], 1, axis=(0, 1))
+        angular[r] = (0.5 * (a[:, :half] + mirrored[:, :half])) ** 2
+    weights = np.full(half, 2.0)
+    weights[0] = 1.0
+    if width % 2 == 0:
+        weights[-1] = 1.0
+    for table in (radial, angular, weights):
+        table.setflags(write=False)
+    return radial, angular, weights
 
 
 def htd(frame: FrameBuffer) -> FeatureVector:
+    """Luma mean and std, then each channel's energy and energy deviation:
+    the mean and std, over the N entries of the full frequency plane, of
+    ``P * g**2``, where ``P = |Y|**2 / N`` is the luma's power spectrum and g
+    the channel's filter. By Parseval the energy is the mean power of the
+    filtered image, but no inverse transform is taken. Each is ``log1p``-ed.
+    """
     if frame.width < 32 or frame.height < 32:
         raise SizeError(f"HTD needs at least 32x32 pixels, got {frame.width}x{frame.height}")
     y = luma(frame)
-    spectrum = np.fft.rfft2(y)
-    bank = _gabor_bank(frame.height, frame.width)
-    energies = np.empty(HTD_SCALES * HTD_ORIENTATIONS)
-    deviations = np.empty_like(energies)
-    for idx in range(bank.shape[0]):
-        response = np.fft.irfft2(spectrum * bank[idx], s=y.shape)
-        power = response ** 2
-        energies[idx] = math.log1p(power.mean())
-        deviations[idx] = math.log1p(power.std())
-    out = np.concatenate([[y.mean(), y.std()], energies, deviations])
+    n = y.size
+    head = [y.mean(), y.std()]
+    power = _power_spectrum(y)
+    radial, angular, weights = _gabor_factors(frame.height, frame.width)
+    weighted = power * weights
+    angular = angular.reshape(HTD_ORIENTATIONS, -1)
+    angular_sq = angular * angular
+    # sums[0, s, r]: sum of P g^2 over the full plane; sums[1, s, r]: of (P g^2)^2
+    sums = np.empty((2, HTD_SCALES, HTD_ORIENTATIONS))
+    for s in range(HTD_SCALES):
+        x = radial[s] * weighted
+        sums[0, s] = np.einsum("rm,m->r", angular, x.ravel())
+        x *= radial[s]
+        x *= power
+        sums[1, s] = np.einsum("rm,m->r", angular_sq, x.ravel())
+    mean, square_mean = sums / n
+    std = np.sqrt(np.maximum(square_mean - mean * mean, 0.0))
+    out = np.concatenate([head, np.log1p(mean.ravel()), np.log1p(std.ravel())])
     return FeatureVector("HTD", out)
+
+
+def _power_spectrum(y: np.ndarray) -> np.ndarray:
+    """``|rfft2(y)|**2 / y.size``; the complex spectrum is dropped on return."""
+    spectrum = np.fft.rfft2(y)
+    power = spectrum.real ** 2
+    power += spectrum.imag ** 2
+    power /= y.size
+    return power
 
 
 # ---------------------------------------------------------------------------

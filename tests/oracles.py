@@ -23,7 +23,9 @@ The four kernel references keep the implementations that the trailer
 kernels replaced, verbatim: ``csd_presence_oracle`` fills the window x color
 presence matrix, ``htd_complex_oracle`` filters the complex ``fft2`` with
 the unsymmetrised full-plane Gabor bank and keeps the real part of each
-``ifft2``, ``ycbcr_planes_to_rgb_oracle`` runs the float BT.601 inverse
+``ifft2`` (now the reference for HTD's energies only;
+``htd_spectral_oracle`` writes out the spectral definition of both moments),
+``ycbcr_planes_to_rgb_oracle`` runs the float BT.601 inverse
 on every pixel, and ``write_y4m_oracle`` averages chroma with numpy's
 ``mean`` over reshaped blocks and appends each frame's bytes to a growing
 buffer. They share the package's HSV quantizer, CSD subsample factor, luma,
@@ -242,6 +244,29 @@ def htd_complex_oracle(frame) -> np.ndarray:
     for idx in range(bank.shape[0]):
         response = np.fft.ifft2(spectrum * bank[idx]).real
         power = response ** 2
+        energies[idx] = math.log1p(power.mean())
+        deviations[idx] = math.log1p(power.std())
+    return np.concatenate([[y.mean(), y.std()], energies, deviations])
+
+
+def htd_spectral_oracle(frame) -> np.ndarray:
+    """HTD's spectral definition on the complex fft2: each channel's energy
+    and deviation are the mean and std of |Y g|^2 / N over all N entries of
+    the full plane. g is the full-plane filter symmetrised as
+    (g(f) + g(-f)) / 2, so Y g is the spectrum of the real part of the
+    response that ``htd_complex_oracle`` keeps; the unsymmetrised filter
+    differs from it on the Nyquist row and column of an even size."""
+    y = luma(frame)
+    n = y.size
+    spectrum = np.fft.fft2(y)
+    bank = _gabor_bank_full(frame.height, frame.width)
+    energies = np.empty(HTD_SCALES * HTD_ORIENTATIONS)
+    deviations = np.empty_like(energies)
+    for idx in range(bank.shape[0]):
+        g = bank[idx]
+        # g at -f: index (-i mod height, -j mod width)
+        symmetrised = 0.5 * (g + np.roll(g[::-1, ::-1], 1, axis=(0, 1)))
+        power = np.abs(spectrum * symmetrised) ** 2 / n
         energies[idx] = math.log1p(power.mean())
         deviations[idx] = math.log1p(power.std())
     return np.concatenate([[y.mean(), y.std()], energies, deviations])

@@ -7,7 +7,7 @@ import pytest
 from visrec.descriptors import (
     _csd_subsample_factor,
     _ehd_block_size,
-    _gabor_bank,
+    _gabor_factors,
     cld,
     csd,
     ehd,
@@ -29,6 +29,7 @@ from oracles import (
     ehd_oracle,
     hsv_bin_scalar,
     htd_complex_oracle,
+    htd_spectral_oracle,
 )
 
 
@@ -296,20 +297,57 @@ class TestHtd:
 
     @pytest.mark.parametrize("height, width", [(32, 32), (33, 47), (48, 35), (97, 64)])
     def test_gabor_bank_is_the_symmetrised_full_bank(self, height, width):
-        # g(-f) sits at index (-i mod height, -j mod width); rfft2 keeps the
-        # width // 2 + 1 non-negative column frequencies
+        # stored as squared radial and angular factors: their product is the
+        # square of the symmetrised filter; g(-f) sits at index
+        # (-i mod height, -j mod width), and rfft2 keeps the width // 2 + 1
+        # non-negative column frequencies
         full = _gabor_bank_full(height, width)
         mirrored = np.roll(full[:, ::-1, ::-1], 1, axis=(1, 2))
         half = width // 2 + 1
         symmetrised = 0.5 * (full[:, :, :half] + mirrored[:, :, :half])
-        assert np.array_equal(_gabor_bank(height, width), symmetrised)
+        radial, angular, weights = _gabor_factors(height, width)
+        product = (radial[:, None] * angular[None, :]).reshape(symmetrised.shape)
+        # below the smallest normal double a value keeps fewer than 53 bits
+        np.testing.assert_allclose(product, symmetrised ** 2, rtol=1e-14,
+                                   atol=np.finfo(np.float64).tiny)
+        # half-plane column j stands for the full plane's columns j and -j
+        assert weights.tolist() == [len({j, -j % width}) for j in range(half)]
 
     @pytest.mark.parametrize("height, width", [(240, 320), (32, 32), (97, 131), (33, 47),
                                                (64, 97), (97, 64)])
     def test_real_fft_matches_complex_fft(self, rng, height, width):
+        # the energies, by Parseval, are the spatial filtering's
         for frame in (noise_frame(rng, height, width), palette_frame(rng, height, width, 6)):
-            np.testing.assert_allclose(htd(frame).values, htd_complex_oracle(frame),
-                                       rtol=0, atol=1e-12)
+            values, expected = htd(frame).values, htd_complex_oracle(frame)
+            assert np.array_equal(values[:2], expected[:2])
+            np.testing.assert_allclose(values[2:32], expected[2:32], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("height, width", [(240, 320), (32, 32), (97, 131), (33, 47),
+                                               (64, 97), (97, 64)])
+    def test_deviations_match_the_spectral_definition(self, rng, height, width):
+        for frame in (noise_frame(rng, height, width), palette_frame(rng, height, width, 6)):
+            values, expected = htd(frame).values, htd_spectral_oracle(frame)
+            assert np.array_equal(values[:2], expected[:2])
+            np.testing.assert_allclose(values[2:], expected[2:], rtol=0, atol=1e-12)
+
+    def test_factor_cache_keeps_two_sizes(self, rng):
+        for height, width in [(32, 32), (40, 48), (56, 36)]:
+            htd(noise_frame(rng, height, width))
+        assert _gabor_factors.cache_info().currsize <= 2
+
+    def test_memory_is_a_few_planes(self, rng):
+        frame = noise_frame(rng, 240, 320)
+        htd(frame)  # builds the table
+        tracemalloc.start()
+        try:
+            htd(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 30-plane bank's call peaked at 4.1 MiB
+        assert peak <= 4.1 * 2**20
+        # 11 half-spectrum planes of 240 x 161 doubles, and the weights
+        assert sum(table.nbytes for table in _gabor_factors(240, 320)) <= 3.5 * 2**20
 
 
 class TestMpeg7All:

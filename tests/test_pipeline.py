@@ -1057,7 +1057,7 @@ _COUNT_TABLES = """
 import visrec.cli
 from visrec import descriptors, media, shots
 print([f.cache_info().currsize
-       for f in (media._decode_tables, descriptors._gabor_bank, shots._sv_table)])
+       for f in (media._decode_tables, descriptors._gabor_factors, shots._sv_table)])
 """
 
 
